@@ -42,16 +42,15 @@ void CasBehavior::evaluate() {
 
   if (isa_.is_test(instr_)) {
     // TEST (Fig. 4c): route selected wires to the core, bypass the rest.
-    const SwitchScheme scheme = isa_.decode(instr_);
     for (unsigned w = 0; w < n; ++w) {
-      const auto port = scheme.port_of_wire(w);
-      if (port.has_value())
-        ports_.s[w].set(ports_.i[*port].get());  // heuristic return path
+      const unsigned port = port_of_wire_[w];
+      if (port != kNoPort)
+        ports_.s[w].set(ports_.i[port].get());  // heuristic return path
       else
         ports_.s[w].set(ports_.e[w].get());
     }
     for (unsigned j = 0; j < p; ++j)
-      ports_.o[j].set(ports_.e[scheme.wire_of_port(j)].get());
+      ports_.o[j].set(ports_.e[wire_of_port_[j]].get());
     return;
   }
 
@@ -65,7 +64,7 @@ void CasBehavior::tick() {
   if (updating) {
     // Update stage loads the shifted code; invalid codes degrade to BYPASS
     // in evaluate(), mirroring a safely-decoded hardware implementation.
-    instr_ = shift_reg_.to_uint();
+    load_instruction(shift_reg_.to_uint());
     return;
   }
   if (chain_active()) {
@@ -75,13 +74,22 @@ void CasBehavior::tick() {
 
 void CasBehavior::reset() {
   shift_reg_ = BitVector(isa_.k());
-  instr_ = InstructionSet::kBypassCode;
+  load_instruction(InstructionSet::kBypassCode);
 }
 
 void CasBehavior::force_instruction(std::uint64_t code) {
   CASBUS_REQUIRE(isa_.is_valid(code),
                  "force_instruction: code outside instruction space");
+  load_instruction(code);
+}
+
+void CasBehavior::load_instruction(std::uint64_t code) {
   instr_ = code;
+  if (!isa_.is_test(code)) return;
+  wire_of_port_ = isa_.decode(code).assignment();
+  port_of_wire_.assign(isa_.n(), kNoPort);
+  for (unsigned j = 0; j < wire_of_port_.size(); ++j)
+    port_of_wire_[wire_of_port_[j]] = j;
 }
 
 }  // namespace casbus::tam

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/instruction.hpp"
 #include "sim/module.hpp"
@@ -33,6 +34,10 @@ struct CasPorts {
 ///  - BYPASS (code 0): every e_i goes straight to s_i; core pins at Z.
 ///  - TEST (codes >= 2): the decoded SwitchScheme drives o_j = e_{w_j} and,
 ///    per the routing heuristic, s_{w_j} = i_j; unselected wires bypass.
+///
+/// The SwitchScheme is decoded once, when an instruction is loaded (update
+/// pulse, force_instruction(), reset()), into flat wire/port tables that
+/// evaluate() reads on every delta pass.
 class CasBehavior : public sim::Module {
  public:
   /// Creates a CAS of geometry (N = ports.e.size(), P = ports.o.size()).
@@ -64,10 +69,17 @@ class CasBehavior : public sim::Module {
   [[nodiscard]] unsigned p() const noexcept { return isa_.p(); }
 
  private:
+  /// Puts \p code in force and decodes its switch scheme (TEST codes only).
+  void load_instruction(std::uint64_t code);
+
+  static constexpr unsigned kNoPort = ~0u;
+
   CasPorts ports_;
   InstructionSet isa_;
   BitVector shift_reg_;
   std::uint64_t instr_ = InstructionSet::kBypassCode;
+  std::vector<unsigned> port_of_wire_;  ///< per wire: port or kNoPort
+  std::vector<unsigned> wire_of_port_;  ///< per port: feeding wire
 };
 
 }  // namespace casbus::tam

@@ -74,6 +74,9 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   result.engine.sim_eval_passes = stats.eval_passes;
   result.engine.sim_cell_evals = stats.cell_evals;
   result.engine.sim_sweep_cell_evals = stats.sweep_cell_evals;
+  const netlist::GateSim::SweepStats sweeps = tester.core_sweep_stats();
+  result.engine.core_sweeps_run = sweeps.run;
+  result.engine.core_sweeps_skipped = sweeps.skipped;
 }
 
 /// Maps the floor-level engine knobs onto soc::TesterOptions.
@@ -470,6 +473,8 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
     reg.add(ids.sim_eval_passes, e.sim_eval_passes);
     reg.add(ids.sim_cell_evals, e.sim_cell_evals);
     reg.add(ids.sim_sweep_cell_evals, e.sim_sweep_cell_evals);
+    reg.add(ids.sim_core_sweeps, e.core_sweeps_run);
+    reg.add(ids.sim_core_sweeps_skipped, e.core_sweeps_skipped);
     reg.add(ids.sched_nodes, e.sched_nodes_expanded);
     reg.add(ids.sched_prunes, e.sched_prunes);
     reg.add(ids.sched_improvements, e.sched_improvements);

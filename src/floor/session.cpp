@@ -164,6 +164,9 @@ FloorStats FloorSession::stats_snapshot() const {
   stats.sim_eval_passes = snap.counter("floor.sim.eval_passes");
   stats.sim_cell_evals = snap.counter("floor.sim.cell_evals");
   stats.sim_sweep_cell_evals = snap.counter("floor.sim.sweep_cell_evals");
+  stats.sim_core_sweeps = snap.counter("floor.sim.core.sweeps");
+  stats.sim_core_sweeps_skipped =
+      snap.counter("floor.sim.core.sweeps_skipped");
   stats.sched_nodes_expanded = snap.counter("floor.sched.nodes_expanded");
   stats.sched_prunes = snap.counter("floor.sched.prunes");
   stats.sched_improvements = snap.counter("floor.sched.improvements");

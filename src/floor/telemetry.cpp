@@ -21,6 +21,9 @@ FloorMetricIds register_floor_metrics(obs::Registry& registry) {
   ids.sim_eval_passes = registry.counter("floor.sim.eval_passes");
   ids.sim_cell_evals = registry.counter("floor.sim.cell_evals");
   ids.sim_sweep_cell_evals = registry.counter("floor.sim.sweep_cell_evals");
+  ids.sim_core_sweeps = registry.counter("floor.sim.core.sweeps");
+  ids.sim_core_sweeps_skipped =
+      registry.counter("floor.sim.core.sweeps_skipped");
   ids.sched_nodes = registry.counter("floor.sched.nodes_expanded");
   ids.sched_prunes = registry.counter("floor.sched.prunes");
   ids.sched_improvements = registry.counter("floor.sched.improvements");
@@ -86,6 +89,8 @@ std::string FloorStats::to_json() const {
      << ",\"eval_passes\":" << sim_eval_passes
      << ",\"cell_evals\":" << sim_cell_evals
      << ",\"sweep_cell_evals\":" << sim_sweep_cell_evals
+     << ",\"core_sweeps\":" << sim_core_sweeps
+     << ",\"core_sweeps_skipped\":" << sim_core_sweeps_skipped
      << "},\"sched\":{\"nodes_expanded\":" << sched_nodes_expanded
      << ",\"prunes\":" << sched_prunes
      << ",\"improvements\":" << sched_improvements

@@ -39,13 +39,16 @@ struct FloorMetricIds {
   obs::MetricId cache_verdict_hits{};   ///< floor.cache.hits.verdict
   obs::MetricId cache_insertions{};     ///< floor.cache.insertions
   obs::MetricId cache_evictions{};      ///< floor.cache.evictions
-  // Simulation engines (SocTester memo + packed-sim work).
+  // Simulation engines (SocTester memo + packed-sim work, core-model
+  // GateSim sweeps).
   obs::MetricId sim_memo_lookups{};     ///< floor.sim.memo.lookups
   obs::MetricId sim_memo_hits{};        ///< floor.sim.memo.hits
   obs::MetricId sim_precompute_us{};    ///< floor.sim.precompute.us
   obs::MetricId sim_eval_passes{};      ///< floor.sim.eval_passes
   obs::MetricId sim_cell_evals{};       ///< floor.sim.cell_evals
   obs::MetricId sim_sweep_cell_evals{}; ///< floor.sim.sweep_cell_evals
+  obs::MetricId sim_core_sweeps{};      ///< floor.sim.core.sweeps
+  obs::MetricId sim_core_sweeps_skipped{};  ///< floor.sim.core.sweeps_skipped
   // Branch-and-bound scheduling effort. Per-thread-sharded like every
   // registry counter: B&B worker threads aggregate into the same stable
   // names regardless of JobSimOptions::sched_threads.
@@ -102,6 +105,8 @@ struct FloorStats {
   std::uint64_t sim_eval_passes = 0;
   std::uint64_t sim_cell_evals = 0;
   std::uint64_t sim_sweep_cell_evals = 0;
+  std::uint64_t sim_core_sweeps = 0;
+  std::uint64_t sim_core_sweeps_skipped = 0;
 
   // Scheduling search effort.
   std::uint64_t sched_nodes_expanded = 0;

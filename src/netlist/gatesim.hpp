@@ -10,9 +10,20 @@
 /// GateSim advances one pattern per eval pass; PackedGateSim
 /// (packed_gatesim.hpp) advances 64. Both share the levelization through
 /// LevelizedNetlist, so several simulators of the same design levelize once.
+///
+/// GateSim is change-driven: every mutator that can alter a settled net —
+/// an input set to a new value, a tick() that captures a different
+/// flip-flop state, set_dff_state(), set_force()/clear_forces(), reset() —
+/// marks the design dirty, and eval() on a clean design returns at once.
+/// That is exact because the settled nets are a pure function of the
+/// inputs, the flip-flop state and the forces: eval() re-seeds every net
+/// from those three before sweeping, so a repeated sweep over unchanged
+/// sources reproduces the values already held. sweep_stats() counts both
+/// outcomes.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,6 +31,7 @@
 
 #include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
+#include "util/error.hpp"
 #include "util/logic.hpp"
 
 namespace casbus::netlist {
@@ -59,19 +71,29 @@ class GateSim {
   /// Drives primary input by position (order of declaration).
   void set_input_index(std::size_t index, Logic4 v);
 
-  /// Propagates combinational logic; one levelized pass.
+  /// Propagates combinational logic; one levelized pass, skipped when no
+  /// source changed since the last pass.
   void eval();
 
   /// Rising clock edge: every DFF captures, then combinational re-eval.
   void tick();
 
+  /// The capture half of tick(): every DFF captures from the settled nets,
+  /// which keep their pre-edge values until the next eval(). A caller that
+  /// sets new inputs before it reads anything again saves tick()'s sweep.
+  void capture();
+
   /// Convenience: eval() has already been called when reading outputs.
   [[nodiscard]] Logic4 output(const std::string& name) const;
-  [[nodiscard]] Logic4 output_index(std::size_t index) const;
+  [[nodiscard]] Logic4 output_index(std::size_t index) const {
+    CASBUS_REQUIRE(index < output_net_.size(), "output index out of range");
+    return net_val_[output_net_[index]];
+  }
 
   /// Raw net inspection (post-eval).
   [[nodiscard]] Logic4 net_value(NetId net) const {
-    return net_val_.at(net);
+    CASBUS_REQUIRE(net < nl().net_count(), "net_value: invalid net");
+    return net_val_[net];
   }
 
   /// Number of flip-flops, in cell order.
@@ -96,20 +118,44 @@ class GateSim {
   /// Removes all active forces.
   void clear_forces();
 
+  /// eval() outcomes since construction: full sweeps run, and calls that
+  /// returned at once because no source had changed.
+  struct SweepStats {
+    std::uint64_t run = 0;
+    std::uint64_t skipped = 0;
+  };
+  [[nodiscard]] const SweepStats& sweep_stats() const noexcept {
+    return sweeps_;
+  }
+
  private:
+  /// One combinational cell, flattened in levelized order for the sweep.
+  struct Op {
+    CellKind kind;
+    bool tri;  ///< the output is a tri-state net (drivers resolve)
+    std::array<NetId, 3> in;  ///< unused pins read the pad net
+    NetId out;
+  };
+
   [[nodiscard]] bool has_forces() const noexcept { return n_forces_ > 0; }
   [[nodiscard]] const Netlist& nl() const noexcept { return lev_->netlist(); }
 
-  Logic4 eval_cell(const Cell& c) const;
-
   std::shared_ptr<const LevelizedNetlist> lev_;
+  std::vector<Op> ops_;
+  std::vector<Logic4> seed_;       // per-net start of a sweep: Z (tri) or X,
+                                   // plus the pad net after the last net
+  std::vector<NetId> input_net_;   // per primary input
+  std::vector<NetId> dff_out_;     // per flip-flop, its Q net
+  std::vector<NetId> output_net_;  // per primary output
   std::vector<Logic4> net_val_;
   std::vector<Logic4> input_val_;
   std::vector<Logic4> dff_state_;
-  std::vector<Logic4> cell_out_;     // last computed output per cell
+  std::vector<Logic4> next_state_;  // tick() capture buffer
   std::vector<Logic4> force_;      // per-net forced value
   std::vector<bool> force_on_;     // per-net force active flag
   std::size_t n_forces_ = 0;
+  bool dirty_ = true;              // a source changed since the last sweep
+  SweepStats sweeps_;
 };
 
 }  // namespace casbus::netlist

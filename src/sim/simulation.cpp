@@ -7,13 +7,6 @@
 
 namespace casbus::sim {
 
-void Wire::set(Logic4 v) noexcept {
-  if (v != value_) {
-    value_ = v;
-    sim_->note_change();
-  }
-}
-
 std::uint64_t WireBundle::to_uint() const {
   CASBUS_REQUIRE(wires_.size() <= 64, "WireBundle::to_uint needs <= 64 bits");
   std::uint64_t v = 0;
@@ -40,18 +33,15 @@ std::string WireBundle::to_string() const {
 }
 
 Wire& Simulation::wire(std::string name, Logic4 init) {
-  wires_.emplace_back(Wire(this, std::move(name), init));
+  wires_.emplace_back(Wire(&changes_, std::move(name), init));
   return wires_.back();
 }
 
 WireBundle Simulation::bundle(const std::string& base, std::size_t n,
                               Logic4 init) {
   WireBundle b;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::ostringstream os;
-    os << base << '[' << i << ']';
-    b.push_back(&wire(os.str(), init));
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    b.push_back(&wire(base + '[' + std::to_string(i) + ']', init));
   return b;
 }
 

@@ -89,9 +89,6 @@ class Simulation {
   }
 
  private:
-  friend class Wire;
-  void note_change() noexcept { ++changes_; }
-
   std::deque<Wire> wires_;  // deque: stable addresses as wires are added
   std::vector<Module*> modules_;
   std::uint64_t cycle_ = 0;

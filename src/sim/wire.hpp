@@ -11,8 +11,6 @@
 
 namespace casbus::sim {
 
-class Simulation;
-
 /// A single-bit combinational net.
 ///
 /// Wires are created and owned by a Simulation; models hold non-owning
@@ -27,7 +25,11 @@ class Wire {
   [[nodiscard]] Logic4 get() const noexcept { return value_; }
 
   /// Drives the net; records a delta event when the value changes.
-  void set(Logic4 v) noexcept;
+  void set(Logic4 v) noexcept {
+    if (v == value_) return;
+    value_ = v;
+    ++*changes_;
+  }
 
   /// Convenience for driven levels.
   void set(bool b) noexcept { set(to_logic(b)); }
@@ -37,10 +39,10 @@ class Wire {
 
  private:
   friend class Simulation;
-  Wire(Simulation* sim, std::string name, Logic4 init)
-      : sim_(sim), name_(std::move(name)), value_(init) {}
+  Wire(std::uint64_t* changes, std::string name, Logic4 init)
+      : changes_(changes), name_(std::move(name)), value_(init) {}
 
-  Simulation* sim_;
+  std::uint64_t* changes_;  // the owning Simulation's delta-event counter
   std::string name_;
   Logic4 value_;
 };

@@ -48,11 +48,21 @@ class BistCore : public CoreModel {
     return core_;
   }
 
+  [[nodiscard]] netlist::GateSim::SweepStats sweep_stats()
+      const noexcept override {
+    return sim_.sweep_stats();
+  }
+
  private:
   std::uint32_t run_reference();
 
+  /// One BIST cycle: applies the LFSR word, compacts the response into the
+  /// MISR, clocks the core and advances the LFSR.
+  void bist_cycle(tpg::Lfsr& lfsr, tpg::Misr& misr);
+
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
+  SynthPorts ports_;
   std::uint32_t cycles_;
   unsigned lfsr_width_;
   unsigned misr_width_;

@@ -38,8 +38,29 @@ class CoreModel : public sim::Module {
   }
   [[nodiscard]] CoreTerminals& terminals() noexcept { return term_; }
 
+  /// Sweeps run and skipped by the gate-level simulator inside this
+  /// model; zeros for behavioural models.
+  [[nodiscard]] virtual netlist::GateSim::SweepStats sweep_stats()
+      const noexcept {
+    return {};
+  }
+
  protected:
   CoreTerminals term_;
+};
+
+/// Port indices of a tpg::SyntheticCore netlist, resolved once by name
+/// (`pi<i>`, `scan_en`, `si<c>`, `po<o>`, `so<c>`) so the per-cycle paths
+/// drive and read the simulator by position.
+struct SynthPorts {
+  SynthPorts(const netlist::LevelizedNetlist& lev,
+             const tpg::SyntheticCoreSpec& spec);
+
+  std::vector<std::size_t> pi;  ///< input index of pi<i>
+  std::size_t scan_en = 0;      ///< input index of scan_en
+  std::vector<std::size_t> si;  ///< input index of si<c>
+  std::vector<std::size_t> po;  ///< output index of po<o>
+  std::vector<std::size_t> so;  ///< output index of so<c>
 };
 
 /// Gate-level core: a tpg::SyntheticCore simulated cycle-accurately through
@@ -66,9 +87,15 @@ class NetlistCore : public CoreModel {
   /// (tpg faults map 1:1 onto this netlist's nets).
   [[nodiscard]] netlist::GateSim& gatesim() noexcept { return sim_; }
 
+  [[nodiscard]] netlist::GateSim::SweepStats sweep_stats()
+      const noexcept override {
+    return sim_.sweep_stats();
+  }
+
  private:
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
+  SynthPorts ports_;
 };
 
 }  // namespace casbus::soc

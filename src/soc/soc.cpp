@@ -1,6 +1,6 @@
 #include "soc/soc.hpp"
 
-#include <sstream>
+#include <string>
 
 namespace casbus::soc {
 
@@ -154,18 +154,16 @@ std::unique_ptr<Soc> SocBuilder::build() {
     p1500::FunctionalPorts func;
     const CoreTerminals& t = model.terminals();
     for (std::size_t i = 0; i < t.func_in.size(); ++i) {
-      std::ostringstream os;
-      os << inst.name << ".sysin" << i;
-      sim::Wire& w = sim.wire(os.str(), Logic4::Zero);
+      sim::Wire& w =
+          sim.wire(inst.name + ".sysin" + std::to_string(i), Logic4::Zero);
       func.sys_in.push_back(&w);
       inst.sys_in.push_back(&w);
     }
     func.core_in = t.func_in;
     func.core_out = t.func_out;
     for (std::size_t i = 0; i < t.func_out.size(); ++i) {
-      std::ostringstream os;
-      os << inst.name << ".sysout" << i;
-      sim::Wire& w = sim.wire(os.str(), Logic4::Zero);
+      sim::Wire& w =
+          sim.wire(inst.name + ".sysout" + std::to_string(i), Logic4::Zero);
       func.sys_out.push_back(&w);
       inst.sys_out.push_back(&w);
     }
@@ -182,9 +180,8 @@ std::unique_ptr<Soc> SocBuilder::build() {
 
     p1500::TamPorts tam_ports;
     tam_ports.wsi = ring_prev;
-    std::ostringstream os;
-    os << "ring" << ring_links++;
-    tam_ports.wso = &sim.wire(os.str(), Logic4::Zero);
+    tam_ports.wso =
+        &sim.wire("ring" + std::to_string(ring_links++), Logic4::Zero);
     ring_prev = tam_ports.wso;
     tam_ports.wpi = to_ptrs(chain.cas_o(cas_idx));
     tam_ports.wpo = to_ptrs(chain.cas_i(cas_idx));

@@ -20,9 +20,12 @@ SocTester::SocTester(Soc& soc, TesterOptions options)
 tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   auto it = golden_.find(ref);
   if (it == golden_.end()) {
-    const tpg::SyntheticCore& sc = synth_of(ref);
+    // The golden model shares the core model's levelization: same netlist,
+    // levelized once per core.
+    NetlistCore& model = core_at(ref).as_scan();
+    const tpg::SyntheticCore& sc = model.synth();
     auto fsim = std::make_unique<tpg::FaultSimulator>(
-        netlist::levelize(sc.netlist), options_.sim_mode);
+        model.gatesim().levelized(), options_.sim_mode);
     for (std::size_t i = 0; i < sc.spec.n_inputs; ++i)
       fsim->pin_input("pi" + std::to_string(i), false);
     fsim->pin_input("scan_en", false);
@@ -59,6 +62,22 @@ netlist::SimStats SocTester::sim_stats() const {
     total.eval_passes += s.eval_passes;
     total.cell_evals += s.cell_evals;
     total.sweep_cell_evals += s.sweep_cell_evals;
+  }
+  return total;
+}
+
+netlist::GateSim::SweepStats SocTester::core_sweep_stats() const {
+  netlist::GateSim::SweepStats total;
+  const auto add = [&](const CoreInstance& core) {
+    if (core.model == nullptr) return;  // hierarchical shell
+    const netlist::GateSim::SweepStats s = core.model->sweep_stats();
+    total.run += s.run;
+    total.skipped += s.skipped;
+  };
+  for (const CoreInstance& core : soc_.cores()) {
+    add(core);
+    if (core.hier != nullptr)
+      for (const CoreInstance& child : core.hier->children) add(child);
   }
   return total;
 }

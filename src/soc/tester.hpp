@@ -238,6 +238,11 @@ class SocTester {
   /// tester has created (netlist::SimStats semantics).
   [[nodiscard]] netlist::SimStats sim_stats() const;
 
+  /// Scalar GateSim sweeps run and skipped, summed over every gate-level
+  /// core model of the SoC (hierarchical children included) since it was
+  /// built — BIST golden-signature runs at construction count too.
+  [[nodiscard]] netlist::GateSim::SweepStats core_sweep_stats() const;
+
  private:
   struct Segment {  // one (target, chain) occupancy of a wire
     std::size_t target_index;

@@ -1,5 +1,6 @@
 // Unit tests for the core models: MemoryCore (functional port + MARCH C-),
-// BistCore (engine semantics), and NetlistCore (clock gating).
+// BistCore (engine semantics), and NetlistCore (clock gating, change-driven
+// evaluation).
 
 #include <gtest/gtest.h>
 
@@ -251,6 +252,36 @@ TEST(NetlistCore, ClockGatingHoldsState) {
   sim.step(7);
   for (std::size_t f = 0; f < 6; ++f)
     EXPECT_EQ(core.gatesim().dff_state(f), snapshot[f]) << "ff " << f;
+}
+
+TEST(NetlistCore, ForceOnSettledCoreReachesOutputsOnNextSettle) {
+  // A settled core whose inputs never change again skips its gate-level
+  // sweeps; a fault injected through gatesim() must still show on the
+  // core's output wire at the next settle.
+  sim::Simulation sim;
+  tpg::SyntheticCoreSpec spec;
+  spec.seed = 23;
+  NetlistCore core(sim, "dut", tpg::make_synthetic_core(spec));
+  sim.add(&core);
+  sim.reset();
+  sim.settle();
+  sim.settle();  // idle: nothing changed
+  const auto idle = core.gatesim().sweep_stats();
+  sim.settle();
+  EXPECT_EQ(core.gatesim().sweep_stats().run, idle.run);
+  EXPECT_GT(core.gatesim().sweep_stats().skipped, idle.skipped);
+
+  sim::Wire& po0 = *core.terminals().func_out[0];
+  const Logic4 before = po0.get();
+  ASSERT_TRUE(is01(before));
+  const netlist::NetId net = core.synth().netlist.outputs()[0].net;
+  core.gatesim().set_force(net, logic_not(before));
+  sim.settle();
+  EXPECT_EQ(po0.get(), logic_not(before));
+
+  core.gatesim().clear_forces();
+  sim.settle();
+  EXPECT_EQ(po0.get(), before);
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 ///   - PackedGateSim vs GateSim net-for-net over random netlists, random
 ///     four-state stimuli (X/Z injection included) and clocked sequences,
 ///   - lane-masked forces vs scalar set_force,
+///   - GateSim change tracking (skipped idle sweeps) vs a full-sweep
+///     PackedGateSim lane under every source mutator,
 ///   - netlist::FaultSim / tpg::FaultSimulator::run vs the serial
 ///     single-fault reference path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -438,6 +441,126 @@ TEST(PackedGateSim, ModeSwitchMidStreamStaysExact) {
     for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
       ASSERT_EQ(flip.net_value(n), sweep.net_value(n))
           << "net " << n << " step " << step;
+  }
+}
+
+/// GateSim change tracking against an engine that always sweeps. GateSim
+/// skips eval() when no source changed since its last sweep; lane 0 of a
+/// full-sweep PackedGateSim is the oracle. A random sequence drives every
+/// source mutator — set_input_index (repeated identical values included),
+/// set_dff_state, set_force/clear_forces between two otherwise idle evals,
+/// tick and reset — and every net is compared after each eval and tick.
+/// An idle eval must be skipped, so the check cannot pass by sweeping
+/// every time.
+void check_change_tracking(const netlist::Netlist& nl, std::uint64_t seed,
+                           int steps) {
+  Rng rng(seed);
+  const auto lev = netlist::levelize(nl);
+  GateSim scalar(lev);
+  PackedGateSim oracle(lev, netlist::EvalMode::FullSweep);
+  std::vector<Logic4> inputs(nl.inputs().size(), Logic4::X);
+
+  const auto compare_all = [&](int step, const char* what) {
+    for (netlist::NetId n = 0; n < nl.net_count(); ++n)
+      ASSERT_EQ(lane0(oracle.net_value(n)), scalar.net_value(n))
+          << what << ": net " << n << " step " << step << " seed " << seed;
+  };
+  const auto eval_both = [&](int step, const char* what) {
+    scalar.eval();
+    oracle.eval();
+    compare_all(step, what);
+  };
+
+  bool forced = false;
+  for (int step = 0; step < steps; ++step) {
+    switch (rng.below(8)) {
+      case 0:
+      case 1: {  // inputs; half the writes repeat the value already held
+        for (std::size_t e = 1 + rng.below(3); e > 0; --e) {
+          const std::size_t i = rng.below(inputs.size());
+          if (rng.coin()) inputs[i] = random_logic(rng);
+          scalar.set_input_index(i, inputs[i]);
+          oracle.set_input_lane(i, 0, inputs[i]);
+        }
+        break;
+      }
+      case 2: {
+        if (scalar.dff_count() == 0) break;
+        const std::size_t i = rng.below(scalar.dff_count());
+        const Logic4 v = rng.coin() ? scalar.dff_state(i) : random_logic(rng);
+        scalar.set_dff_state(i, v);
+        oracle.set_dff_lane(i, 0, v);
+        break;
+      }
+      case 3: {  // force change between two idle evals
+        eval_both(step, "pre-force eval");
+        if (forced && rng.coin()) {
+          scalar.clear_forces();
+          oracle.clear_forces();
+          forced = false;
+        } else {
+          const auto net =
+              static_cast<netlist::NetId>(rng.below(nl.net_count()));
+          const Logic4 v = to_logic(rng.coin());
+          scalar.set_force(net, v);
+          oracle.set_force(net, v, 1);
+          forced = true;
+        }
+        eval_both(step, "post-force eval");
+        break;
+      }
+      case 4: {  // idle eval: nothing changed, so the sweep is skipped
+        eval_both(step, "eval");
+        const auto before = scalar.sweep_stats();
+        eval_both(step, "idle eval");
+        ASSERT_EQ(scalar.sweep_stats().run, before.run) << "step " << step;
+        ASSERT_EQ(scalar.sweep_stats().skipped, before.skipped + 1);
+        break;
+      }
+      case 5:
+      case 6:
+        scalar.tick();
+        oracle.tick();
+        compare_all(step, "tick");
+        break;
+      default:
+        if (rng.below(4) != 0) {
+          eval_both(step, "eval");
+        } else {
+          const Logic4 state = kAll[rng.below(kAll.size())];
+          scalar.reset(state);
+          oracle.reset(state);
+          std::fill(inputs.begin(), inputs.end(), Logic4::X);
+        }
+        break;
+    }
+  }
+  EXPECT_GT(scalar.sweep_stats().run, 0u);
+  EXPECT_GT(scalar.sweep_stats().skipped, 0u);
+}
+
+TEST(GateSimChangeTracking, MatchesFullSweepOnRandomCores) {
+  Rng spec_rng(4242);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    tpg::SyntheticCoreSpec spec;
+    spec.n_inputs = 1 + spec_rng.below(8);
+    spec.n_outputs = 1 + spec_rng.below(8);
+    spec.n_flipflops = 1 + spec_rng.below(24);
+    spec.n_gates = 8 + spec_rng.below(120);
+    spec.n_chains = 1 + spec_rng.below(std::min<std::size_t>(
+                            spec.n_flipflops, 4));
+    spec.seed = 500 + seed;
+    const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
+    check_change_tracking(core.netlist, seed, 400);
+  }
+}
+
+TEST(GateSimChangeTracking, MatchesFullSweepOnTriStateCas) {
+  // Tri-state buses: skipped sweeps must also hold resolved nets exactly.
+  for (const unsigned n : {4u, 6u}) {
+    const tam::GeneratedCas gen = tam::generate_cas(
+        n, n / 2, {tam::CasImplementation::OptimizedGateLevel, true});
+    check_change_tracking(gen.netlist, 31 + n, 400);
   }
 }
 

@@ -82,6 +82,11 @@ def print_snapshot(s):
           f" eval_passes={sim.get('eval_passes', 0)}"
           f" cell_evals={sim.get('cell_evals', 0)}"
           f" sweep_cell_evals={sim.get('sweep_cell_evals', 0)}")
+    core_run = sim.get("core_sweeps", 0)
+    core_skipped = sim.get("core_sweeps_skipped", 0)
+    print(f"  core models: gate-level sweeps run={core_run}"
+          f" skipped={core_skipped}"
+          f" ({fmt_rate(core_skipped, core_run + core_skipped)} skipped)")
     print(f"  sched: nodes={sched.get('nodes_expanded', 0)}"
           f" prunes={sched.get('prunes', 0)}"
           f" improvements={sched.get('improvements', 0)}"
