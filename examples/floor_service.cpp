@@ -16,7 +16,7 @@
 /// otherwise mixes them). --stream drives the live FloorSession API
 /// instead of the batch adapter: jobs are submitted while the workers run
 /// (throttled by --queue-capacity) and results are printed as they
-/// complete, in arrival order. --cache sets the per-worker program-cache
+/// complete, in arrival order. --cache sets the per-worker verdict-cache
 /// capacity (0 disables). --sim-threads / --sched-threads set each job's
 /// golden-response precompute and branch-and-bound scheduling thread
 /// pools (pure engine knobs; 0 = one per hardware thread). --summary

@@ -76,29 +76,16 @@ class Search {
         config_(config),
         width_(scheduler.width()),
         reconfig_(scheduler.reconfig_cost()) {
-    for (std::size_t i = 0; i < scheduler.cores().size(); ++i) {
-      if (scheduler.cores()[i].is_scan())
-        scan_.push_back(i);
-      else
-        bist_.push_back(i);
-    }
+    for (std::size_t i = 0; i < scheduler.cores().size(); ++i)
+      if (!scheduler.cores()[i].is_scan()) bist_.push_back(i);
+    // Demanding cores first (sched::canonical_scan_order): their bounds
+    // dominate early, so pruning and greedy completions both make their
+    // hard decisions at the top of the tree. The order clusters
+    // equal-geometry cores adjacently, which is what lets the dominance
+    // rule below recognize them.
+    scan_ = sched::canonical_scan_order(scheduler);
     CASBUS_REQUIRE(scan_.size() < 65535,
                    "BranchBoundScheduler: too many scan cores");
-    // Demanding cores first: their bounds dominate early, so pruning and
-    // greedy completions both make their hard decisions at the top of the
-    // tree. The tie-break clusters equal-geometry cores adjacently, which
-    // is what lets the dominance rule below recognize them.
-    std::stable_sort(scan_.begin(), scan_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const std::uint64_t la =
-                           core_session_lower_bound(core(a), width_);
-                       const std::uint64_t lb =
-                           core_session_lower_bound(core(b), width_);
-                       if (la != lb) return la > lb;
-                       if (core(a).patterns != core(b).patterns)
-                         return core(a).patterns > core(b).patterns;
-                       return core(a).chains > core(b).chains;
-                     });
     // Dominance between interchangeable cores: a scan core with the same
     // chain geometry and pattern budget as its predecessor prices
     // identically in every session, so only assignments where it lands in

@@ -1,11 +1,13 @@
 /// \file branch_bound.hpp
-/// Best-first branch-and-bound session scheduling — the scalable optimal /
-/// proven-gap counterpart of sched::exact_schedule, multi-threaded since
-/// PR 10.
+/// Best-first branch-and-bound session scheduling: the repository's one
+/// optimal / proven-gap scheduling engine, multi-threaded.
+/// sched::Strategy::Exact is this search with no node budget.
 ///
-/// The search walks the same space (set partitions of the scan cores into
-/// sessions; BIST engines slotted greedily at the leaves by
-/// sched::price_scan_partition) but best-first over the shared balance +
+/// The search walks the partition space (set partitions of the scan cores
+/// into sessions; BIST engines slotted greedily at the leaves by
+/// sched::price_scan_partition, the leaf pricing that
+/// sched::reference_optimal_schedule enumerates exhaustively) best-first
+/// over the shared balance +
 /// BIST-slot lower bounds (sched/lower_bound.hpp), with a node budget and
 /// an anytime incumbent: on paper-sized SoCs it exhausts the space and
 /// *proves* optimality; on 100–1000-core synthetic SoCs it stops at the

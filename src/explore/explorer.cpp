@@ -8,7 +8,6 @@
 #include "core/arrangement.hpp"
 #include "core/cas_generator.hpp"
 #include "netlist/area.hpp"
-#include "sched/exact.hpp"
 #include "sched/lower_bound.hpp"
 
 namespace casbus::explore {
@@ -122,7 +121,9 @@ ExploreReport DesignSpaceExplorer::sweep(const ExploreConfig& config) const {
 
     for (const sched::Strategy strategy : config.strategies) {
       // Exact is exponential; skip the combos it cannot finish.
-      if (strategy == sched::Strategy::Exact && scan_cores > 12) continue;
+      if (strategy == sched::Strategy::Exact &&
+          scan_cores > sched::kExactMaxScanCores)
+        continue;
 
       ExplorePoint pt;
       pt.width = width;

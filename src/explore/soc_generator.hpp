@@ -7,7 +7,7 @@
 /// range of industrial cores (log-uniform sizes, a few very large cores, a
 /// long tail of small ones — the shape SOC test-integration practice
 /// reports). Output is a plain CoreTestSpec list, directly consumable by
-/// sched::SessionScheduler / exact_schedule / BranchBoundScheduler, plus a
+/// sched::SessionScheduler / BranchBoundScheduler, plus a
 /// mapping onto floor::JobSpec so populations can also be streamed through
 /// the cycle-accurate test floor.
 ///

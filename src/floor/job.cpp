@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "floor/program_cache.hpp"
+#include "floor/verdict_cache.hpp"
 #include "floor/telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -150,10 +150,9 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 }
 
 /// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, compile
-/// via the analytic scheduler — or pull the compiled program straight from
-/// the worker's cache — then execute cycle-accurately.
+/// via the analytic scheduler, then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
-                   ProgramCache* cache, bool verify,
+                   bool verify,
                    const JobSimOptions& sim, const JobTelemetry& obs,
                    JobResult& result) {
   StageTimer timer(result, obs);
@@ -191,42 +190,25 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   auto soc = builder.build();
   timer.finish(Stage::Build);
 
-  // The pattern seed is drawn whether or not the cache hits, so cached and
-  // cold runs consume the job RNG identically — a precondition of the
-  // cache-on == cache-off determinism guarantee.
-  const std::uint64_t pattern_seed = rng.next();
-
-  // ---- Stages: Schedule + Compile (the program-cache window) --------------
-  std::shared_ptr<const soc::CompiledProgram> program =
-      cache ? cache->find_program(spec) : nullptr;
-  if (program) {
-    result.cache_tier = CacheTier::Program;
-    // The cache verified recipe equality, and equal recipes reproduce the
-    // pattern seed — so a served program is exactly the cold compile.
-    CASBUS_ASSERT(program->pattern_seed == pattern_seed,
-                  "ProgramCache served a mismatched program");
-  } else {
-    auto fresh = std::make_shared<soc::CompiledProgram>();
-    fresh->specs = soc::specs_of(*soc, spec.patterns_per_ff);
-    sched::ScheduleStats sched_stats;
-    fresh->schedule =
-        sched::schedule_with(fresh->specs, soc->bus().width(), spec.strategy,
-                             &sched_stats, sim.sched_threads);
-    result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
-    result.engine.sched_prunes = sched_stats.prunes;
-    result.engine.sched_improvements = sched_stats.incumbent_improvements;
-    result.engine.sched_leaves_priced = sched_stats.leaves_priced;
-    timer.finish(Stage::Schedule);
-    fresh->pattern_seed = pattern_seed;
-    if (cache) cache->put_program(spec, fresh);
-    program = std::move(fresh);
-    timer.finish(Stage::Compile);
-  }
+  // ---- Stages: Schedule + Compile ----------------------------------------
+  soc::CompiledProgram program;
+  program.specs = soc::specs_of(*soc, spec.patterns_per_ff);
+  sched::ScheduleStats sched_stats;
+  program.schedule =
+      sched::schedule_with(program.specs, soc->bus().width(), spec.strategy,
+                           &sched_stats, sim.sched_threads);
+  result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
+  result.engine.sched_prunes = sched_stats.prunes;
+  result.engine.sched_improvements = sched_stats.incumbent_improvements;
+  result.engine.sched_leaves_priced = sched_stats.leaves_priced;
+  timer.finish(Stage::Schedule);
+  program.pattern_seed = rng.next();
+  timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
   if (verify) {
     verify::LintReport lint = lint_soc(*soc);
-    lint.merge(verify::lint_schedule(program->schedule, program->specs,
+    lint.merge(verify::lint_schedule(program.schedule, program.specs,
                                      soc->bus().width()));
     if (!verify_stage(lint, timer, result)) return;
   }
@@ -234,14 +216,14 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   // ---- Stage: Simulate ----------------------------------------------------
   soc::SocTester tester(*soc, tester_options(sim));
   const soc::ScheduleRunReport report =
-      soc::run_program(*soc, tester, *program);
+      soc::run_program(*soc, tester, program);
   harvest_tester(tester, result);
   timer.finish(Stage::Simulate);
 
   // ---- Stage: Verdict -----------------------------------------------------
   result.cores = soc->core_count();
   result.sessions = report.sessions;
-  result.patterns = program->total_patterns();
+  result.patterns = program.total_patterns();
   result.predicted_cycles = report.predicted_cycles;
   result.measured_cycles = report.measured_cycles;
   result.sim_cycles = tester.cycles();
@@ -415,7 +397,6 @@ ScenarioKind scenario_from_name(std::string_view name) {
 const char* cache_tier_name(CacheTier tier) noexcept {
   switch (tier) {
     case CacheTier::None: return "none";
-    case CacheTier::Program: return "program";
     case CacheTier::Verdict: return "verdict";
   }
   return "unknown";
@@ -497,7 +478,7 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
 
 }  // namespace
 
-JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
+JobResult run_job(const JobSpec& spec, VerdictCache* cache, bool verify,
                   JobSimOptions sim, const JobTelemetry& obs) noexcept {
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
@@ -522,12 +503,12 @@ JobResult run_job(const JobSpec& spec, ProgramCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, cache, verify,
-                      sim, obs, result);
+        run_scheduled(spec, /*with_engines=*/false, rng, verify, sim, obs,
+                      result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, cache, verify,
-                      sim, obs, result);
+        run_scheduled(spec, /*with_engines=*/true, rng, verify, sim, obs,
+                      result);
         break;
       case ScenarioKind::Hierarchical:
         run_hierarchical(spec, rng, verify, sim, obs, result);

@@ -14,9 +14,9 @@
 /// private seed — the floor derives it as Rng::derive_stream(floor_seed,
 /// job id) (see util/rng.hpp), which is what makes a whole floor run's
 /// aggregates byte-identical for 1 and N workers. An optional per-worker
-/// ProgramCache may serve the Schedule+Compile stages for repeated specs;
-/// because compilation is itself pure, a cache hit reproduces the cold
-/// path's program bit-for-bit and the contract is unchanged.
+/// VerdictCache may serve a repeated spec's qualified result; because the
+/// job is pure, a cache hit reproduces the cold path's result and the
+/// contract is unchanged.
 
 #pragma once
 
@@ -55,14 +55,14 @@ inline constexpr std::size_t kScenarioCount = 4;
 [[nodiscard]] ScenarioKind scenario_from_name(std::string_view name);
 
 /// The named stages of the run_job pipeline, in execution order. Every job
-/// flows Build -> (Schedule -> Compile, skipped on a program-cache hit) ->
-/// Verify -> Simulate -> Verdict; scenarios the analytic scheduler cannot
-/// express (Hierarchical/Maintenance) charge their hand-assembled session
-/// setup to Compile and leave Schedule at zero. Verify is the static
-/// admission gate (src/verify/): it lints every generated netlist and the
-/// compiled schedule in microseconds, so a malformed design fails fast
-/// instead of burning the Simulate stage; FloorConfig::verify (or the
-/// run_job parameter) skips it.
+/// flows Build -> Schedule -> Compile -> Verify -> Simulate -> Verdict
+/// (all skipped on a verdict-cache hit); scenarios the analytic scheduler
+/// cannot express (Hierarchical/Maintenance) charge their hand-assembled
+/// session setup to Compile and leave Schedule at zero. Verify is the
+/// static admission gate (src/verify/): it lints every generated netlist
+/// and the compiled schedule in microseconds, so a malformed design fails
+/// fast instead of burning the Simulate stage; FloorConfig::verify (or
+/// the run_job parameter) skips it.
 enum class Stage {
   Build,     ///< synthesize the SoC (cores, wrappers, CAS-BUS)
   Schedule,  ///< analytic scheduling (sched::schedule_with)
@@ -94,26 +94,25 @@ struct JobSpec {
   /// schedule, and compiled program — everything except id (two jobs that
   /// differ only in id are reruns of the same recipe). Stable across
   /// platforms and runs (util/hash.hpp). Equal keys mean byte-identical
-  /// deterministic results, which is what makes the per-worker program
+  /// deterministic results, which is what makes the per-worker verdict
   /// caches and the JobQueue's affinity sharding sound.
   [[nodiscard]] std::uint64_t cache_key() const noexcept;
 
   /// True when \p other is the same recipe: every field except id equal.
   /// The cache compares recipes on every key match, so a hash collision
-  /// degrades to a miss instead of serving the wrong program.
+  /// degrades to a miss instead of serving the wrong result.
   [[nodiscard]] bool same_recipe(const JobSpec& other) const noexcept;
 };
 
-/// Which cache tier served a job, if any (see program_cache.hpp). Not
+/// Which cache tier served a job, if any (see verdict_cache.hpp). Not
 /// deterministic: it depends on job interleaving and worker count, so it
 /// is excluded from digests like all timing.
 enum class CacheTier : std::uint8_t {
   None,     ///< executed cold (or cache disabled)
-  Program,  ///< Schedule+Compile skipped (compiled program reused)
   Verdict,  ///< whole pipeline skipped (qualified result reused)
 };
 
-/// Stable short name ("none", "program", "verdict") — the vocabulary of
+/// Stable short name ("none", "verdict") — the vocabulary of
 /// report breakdowns, trace args, and metric names.
 [[nodiscard]] const char* cache_tier_name(CacheTier tier) noexcept;
 
@@ -180,13 +179,13 @@ struct JobResult {
   }
 };
 
-class ProgramCache;
+class VerdictCache;
 
 /// Simulation-engine options forwarded to a job's private SocTester
 /// (soc::TesterOptions carries the full contract). Both knobs are pure
 /// optimisations: every deterministic JobResult field is byte-identical
 /// for any combination, so they are excluded from JobSpec::cache_key —
-/// a cached program/verdict is valid under any engine configuration.
+/// a cached verdict is valid under any engine configuration.
 struct JobSimOptions {
   /// Event-driven golden-model evaluation (netlist::EvalMode::EventDriven)
   /// instead of full sweeps. Exact by construction (packed_gatesim.hpp).
@@ -196,8 +195,8 @@ struct JobSimOptions {
   /// pattern), so the thread count cannot change any result.
   std::size_t sim_threads = 1;
   /// Threads for the Schedule stage's branch-and-bound search when the
-  /// spec selects Strategy::BranchBound (1 = serial, 0 = one per hardware
-  /// thread; other strategies ignore it). The search runs in
+  /// spec selects Strategy::BranchBound or Strategy::Exact (1 = serial,
+  /// 0 = one per hardware thread; other strategies ignore it). The search runs in
   /// deterministic mode, so the schedule is byte-identical at any thread
   /// count — which is what keeps this knob out of JobSpec::cache_key.
   std::size_t sched_threads = 1;
@@ -230,21 +229,19 @@ struct JobTelemetry {
 /// so verify-on and verify-off runs of an admissible spec produce equal
 /// deterministic result fields.
 ///
-/// When \p cache is non-null, repeated recipes are served from it at two
-/// tiers (see program_cache.hpp): the Schedule+Compile stages of scheduled
-/// scenarios reuse the cached CompiledProgram, and — when the cache has
-/// verdict reuse enabled — a recipe that already ran cleanly skips the
-/// whole pipeline and returns its qualified result re-stamped with this
-/// job's id. Neither tier can change any deterministic result field,
-/// because run_job is pure: a cached program/verdict is byte-identical to
-/// what a cold run would recompute, so cache-on and cache-off runs produce
-/// equal deterministic_summary() text. The cache must be private to the
-/// calling thread (the floor gives each worker its own).
+/// When \p cache is non-null (see verdict_cache.hpp), a recipe that
+/// already ran cleanly skips the whole pipeline and returns its qualified
+/// result re-stamped with this job's id. That cannot change any
+/// deterministic result field, because run_job is pure: a cached verdict
+/// is byte-identical to what a cold run would recompute, so cache-on and
+/// cache-off runs produce equal deterministic_summary() text. The cache
+/// must be private to the calling thread (the floor gives each worker its
+/// own).
 ///
 /// \p obs carries the floor's telemetry sinks (JobTelemetry); the default
 /// runs with telemetry off. Spans and counters are emitted per executed
 /// stage — a verdict-tier hit emits none (no stage ran).
-[[nodiscard]] JobResult run_job(const JobSpec& spec, ProgramCache* cache,
+[[nodiscard]] JobResult run_job(const JobSpec& spec, VerdictCache* cache,
                                 bool verify = true, JobSimOptions sim = {},
                                 const JobTelemetry& obs = {}) noexcept;
 

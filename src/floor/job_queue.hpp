@@ -7,7 +7,7 @@
 /// Jobs land in one of `shards` deques, picked by the job's cache-key
 /// affinity (JobSpec::cache_key() % shards). Worker w pops the front of
 /// shard w first — so repeated specs keep hitting the same worker's
-/// program cache — and steals from the back of the fullest other shard
+/// verdict cache — and steals from the back of the fullest other shard
 /// when its own is empty, so a long-tailed mix (one shard stuck behind a
 /// 10x hierarchical/maintenance job) never idles the rest of the pool.
 /// Each pushed job is still delivered to exactly one popper, tagged with

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "floor/program_cache.hpp"
+#include "floor/verdict_cache.hpp"
 
 namespace casbus::floor {
 
@@ -153,7 +153,6 @@ FloorStats FloorSession::stats_snapshot() const {
 
   const obs::Snapshot snap = registry_->snapshot();
   stats.cache_lookups = snap.counter("floor.cache.lookups");
-  stats.cache_program_hits = snap.counter("floor.cache.hits.program");
   stats.cache_verdict_hits = snap.counter("floor.cache.hits.verdict");
   stats.cache_insertions = snap.counter("floor.cache.insertions");
   stats.cache_evictions = snap.counter("floor.cache.evictions");
@@ -187,16 +186,15 @@ FloorStats FloorSession::stats_snapshot() const {
 }
 
 void FloorSession::worker_main(std::size_t worker) {
-  // The worker's private program cache: equal-keyed jobs are routed here
-  // by the queue's affinity sharding, so repeated specs skip the
-  // Schedule+Compile stages without any cross-thread sharing.
-  ProgramCache cache(config_.cache_capacity, config_.reuse_verdicts);
-  ProgramCache* cache_ptr = config_.cache_capacity ? &cache : nullptr;
+  // The worker's private verdict cache: equal-keyed jobs are routed here
+  // by the queue's affinity sharding, so repeated specs skip the whole
+  // pipeline without any cross-thread sharing.
+  VerdictCache cache(config_.cache_capacity);
+  VerdictCache* cache_ptr = config_.cache_capacity ? &cache : nullptr;
   if (registry_ != nullptr) {
     cache.set_telemetry(CacheTelemetry{
-        registry_.get(), ids_.cache_lookups, ids_.cache_program_hits,
-        ids_.cache_verdict_hits, ids_.cache_insertions,
-        ids_.cache_evictions});
+        registry_.get(), ids_.cache_lookups, ids_.cache_verdict_hits,
+        ids_.cache_insertions, ids_.cache_evictions});
   }
 
   JobTelemetry obs;

@@ -1,7 +1,7 @@
 /// \file session.hpp
 /// The streaming test-floor service: a long-running worker pool that
 /// accepts jobs *while it runs*, with bounded backpressure, per-worker
-/// program caches, and work stealing.
+/// verdict caches, and work stealing.
 ///
 /// Architecture (one FloorSession):
 ///
@@ -70,12 +70,10 @@ struct FloorConfig {
   /// Jobs allowed to wait in the queue before submit() blocks (and
   /// try_submit() refuses); 0 means unbounded — batch semantics.
   std::size_t queue_capacity = 0;
-  /// Per-worker program-cache entries (LRU); 0 disables caching.
+  /// Per-worker verdict-cache entries (LRU; full-result reuse of recipes
+  /// that already ran cleanly — see verdict_cache.hpp); 0 disables
+  /// caching.
   std::size_t cache_capacity = 16;
-  /// Gates the cache's verdict tier (full-result reuse of recipes that
-  /// already ran cleanly — see program_cache.hpp). The program tier
-  /// (Schedule+Compile skip) is controlled by cache_capacity alone.
-  bool reuse_verdicts = true;
   /// Runs the static Verify stage (netlist + schedule lint, src/verify/)
   /// on every job before Simulate; error-grade findings fail the job
   /// without simulating. Cheap (µs per job) — disable only to measure its
@@ -94,10 +92,10 @@ struct FloorConfig {
   std::size_t sim_threads = 1;
   /// Branch-and-bound search threads inside each job's Schedule stage
   /// (JobSimOptions::sched_threads; 1 = serial, 0 = one per hardware
-  /// thread; only Strategy::BranchBound jobs use it). Same multiplication
-  /// trade-off as sim_threads. The search runs deterministically, so this
-  /// cannot change any deterministic result or the
-  /// deterministic_summary() text either.
+  /// thread; only Strategy::BranchBound and Strategy::Exact jobs use it).
+  /// Same multiplication trade-off as sim_threads. The search runs
+  /// deterministically, so this cannot change any deterministic result or
+  /// the deterministic_summary() text either.
   std::size_t sched_threads = 1;
   /// Enables the metrics registry (src/obs/): per-thread-sharded counters
   /// and stage-latency histograms, surfaced by stats_snapshot(). Pure

@@ -11,7 +11,6 @@ FloorMetricIds register_floor_metrics(obs::Registry& registry) {
   ids.jobs_executed = registry.counter("floor.jobs.executed");
   ids.jobs_errored = registry.counter("floor.jobs.errored");
   ids.cache_lookups = registry.counter("floor.cache.lookups");
-  ids.cache_program_hits = registry.counter("floor.cache.hits.program");
   ids.cache_verdict_hits = registry.counter("floor.cache.hits.verdict");
   ids.cache_insertions = registry.counter("floor.cache.insertions");
   ids.cache_evictions = registry.counter("floor.cache.evictions");
@@ -78,7 +77,6 @@ std::string FloorStats::to_json() const {
      << ",\"backpressure_engages\":" << queue.backpressure_engages
      << ",\"backpressure_releases\":" << queue.backpressure_releases
      << "},\"cache\":{\"lookups\":" << cache_lookups
-     << ",\"program_hits\":" << cache_program_hits
      << ",\"verdict_hits\":" << cache_verdict_hits
      << ",\"insertions\":" << cache_insertions
      << ",\"evictions\":" << cache_evictions

@@ -33,9 +33,8 @@ struct FloorMetricIds {
   // Job outcomes.
   obs::MetricId jobs_executed{};   ///< floor.jobs.executed
   obs::MetricId jobs_errored{};    ///< floor.jobs.errored
-  // Program-cache tiers (per run_job consultation; see program_cache.hpp).
+  // Verdict cache (per run_job consultation; see verdict_cache.hpp).
   obs::MetricId cache_lookups{};        ///< floor.cache.lookups
-  obs::MetricId cache_program_hits{};   ///< floor.cache.hits.program
   obs::MetricId cache_verdict_hits{};   ///< floor.cache.hits.verdict
   obs::MetricId cache_insertions{};     ///< floor.cache.insertions
   obs::MetricId cache_evictions{};      ///< floor.cache.evictions
@@ -91,9 +90,8 @@ struct FloorStats {
   // Queue (always live — tracked by the queue itself, not the registry).
   QueueStats queue;
 
-  // Program-cache tiers, summed over every worker's private cache.
+  // Verdict cache, summed over every worker's private cache.
   std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_program_hits = 0;
   std::uint64_t cache_verdict_hits = 0;
   std::uint64_t cache_insertions = 0;
   std::uint64_t cache_evictions = 0;
@@ -131,12 +129,11 @@ struct FloorStats {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped = 0;
 
-  /// Jobs served from any cache tier / cache lookups (0 when no lookups).
+  /// Jobs served from the cache / cache lookups (0 when no lookups).
   [[nodiscard]] double cache_hit_rate() const {
     return cache_lookups == 0
                ? 0.0
-               : static_cast<double>(cache_program_hits +
-                                     cache_verdict_hits) /
+               : static_cast<double>(cache_verdict_hits) /
                      static_cast<double>(cache_lookups);
   }
 

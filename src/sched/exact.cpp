@@ -131,125 +131,86 @@ Schedule optimal_pure_bist_schedule(const SessionScheduler& scheduler) {
   return schedule;
 }
 
-ExactResult exact_schedule(const SessionScheduler& scheduler,
-                           std::size_t max_cores,
-                           bool compute_heuristic_gap) {
-  std::vector<std::size_t> scan, bist;
-  for (std::size_t i = 0; i < scheduler.cores().size(); ++i) {
-    if (scheduler.cores()[i].is_scan())
-      scan.push_back(i);
-    else
-      bist.push_back(i);
-  }
-  CASBUS_REQUIRE(scan.size() <= max_cores,
-                 "exact_schedule: instance too large for exhaustive search");
-
-  ExactResult result;
+std::vector<std::size_t> canonical_scan_order(
+    const SessionScheduler& scheduler) {
   const std::vector<CoreTestSpec>& cores = scheduler.cores();
   const unsigned width = scheduler.width();
-  const std::uint64_t config = scheduler.reconfig_cost();
-
-  if (scan.empty()) {
-    result.schedule = optimal_pure_bist_schedule(scheduler);
-    if (compute_heuristic_gap && result.schedule.total_cycles > 0)
-      result.heuristic_gap =
-          static_cast<double>(scheduler.best().total_cycles) /
-              static_cast<double>(result.schedule.total_cycles) -
-          1.0;
-    return result;
-  }
-
-  // Place demanding cores first so the lower bound bites early.
+  std::vector<std::size_t> scan;
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    if (cores[i].is_scan()) scan.push_back(i);
   std::stable_sort(scan.begin(), scan.end(), [&](std::size_t a,
                                                  std::size_t b) {
-    return core_session_lower_bound(cores[a], width) >
-           core_session_lower_bound(cores[b], width);
+    const std::uint64_t la = core_session_lower_bound(cores[a], width);
+    const std::uint64_t lb = core_session_lower_bound(cores[b], width);
+    if (la != lb) return la > lb;
+    if (cores[a].patterns != cores[b].patterns)
+      return cores[a].patterns > cores[b].patterns;
+    return cores[a].chains > cores[b].chains;
   });
+  return scan;
+}
 
-  // Instance-wide terms of the node bound: wire-time conservation and the
-  // BIST chunking pigeonhole (both floors on the summed session maxima).
-  const std::uint64_t work_bound =
-      std::max((total_wire_work(cores) + width - 1) / width,
-               bist_chunk_bound(cores, width));
-
-  // Incumbent: greedy's scan partition, re-priced by the shared evaluator
-  // so the seed is exactly comparable with search leaves.
-  std::vector<std::vector<std::size_t>> best_groups =
-      greedy_scan_groups(scheduler);
-  std::uint64_t best_total =
-      price_scan_partition(scheduler, best_groups, bist);
-
-  // Restricted-growth enumeration of set partitions with incremental
-  // per-group balance bounds. `structural` tracks the sum over open groups
-  // of (scan lower bound + configuration) — admissible because adding
-  // cores to a group can only raise its session's real cost.
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<GroupBound> bounds;
-  std::vector<std::uint64_t> bound_of;  // cached scan_lower_bound + config
-  std::uint64_t structural = 0;
-
+void for_each_partition(const std::vector<std::size_t>& items,
+                        const PartitionVisitor& visit) {
+  PartitionGroups groups;
   const std::function<void(std::size_t)> recurse = [&](std::size_t idx) {
-    if (idx == scan.size()) {
-      ++result.partitions_tried;
-      const std::uint64_t total =
-          price_scan_partition(scheduler, groups, bist);
-      if (total < best_total) {
-        best_total = total;
-        best_groups = groups;
-      }
+    if (idx == items.size()) {
+      visit(groups);
       return;
     }
-    const CoreTestSpec& core = cores[scan[idx]];
     for (std::size_t g = 0; g <= groups.size(); ++g) {
-      const bool fresh = g == groups.size();
-      const GroupBound saved = fresh ? GroupBound{} : bounds[g];
-      const std::uint64_t saved_bound = fresh ? 0 : bound_of[g];
-      if (fresh) {
-        groups.push_back({scan[idx]});
-        bounds.push_back({});
-        bound_of.push_back(0);
-      } else {
-        groups[g].push_back(scan[idx]);
-      }
-      bounds[g].add(core);
-      bound_of[g] = bounds[g].scan_lower_bound(width) + config;
-      structural += bound_of[g] - saved_bound;
-
-      const std::uint64_t node_bound = std::max(
-          structural + config * partition_overflow_floor(groups.size(),
-                                                         bist.size(), width),
-          work_bound + config * partition_session_floor(groups.size(),
-                                                        bist.size(), width));
-      if (node_bound >= best_total)
-        ++result.subtrees_pruned;
-      else
-        recurse(idx + 1);
-
-      structural -= bound_of[g] - saved_bound;
-      if (fresh) {
-        groups.pop_back();
-        bounds.pop_back();
-        bound_of.pop_back();
-      } else {
-        groups[g].pop_back();
-        bounds[g] = saved;
-        bound_of[g] = saved_bound;
-      }
+      if (g == groups.size()) groups.emplace_back();
+      groups[g].push_back(items[idx]);
+      recurse(idx + 1);
+      groups[g].pop_back();
+      if (groups[g].empty()) groups.pop_back();
     }
   };
   recurse(0);
+}
 
-  // Materialize the winning schedule and the in-library heuristic gap.
-  std::vector<ScheduledSession> sessions;
-  result.schedule.total_cycles =
-      price_scan_partition(scheduler, best_groups, bist, &sessions);
-  result.schedule.sessions = std::move(sessions);
-  if (compute_heuristic_gap && result.schedule.total_cycles > 0)
-    result.heuristic_gap =
-        static_cast<double>(scheduler.best().total_cycles) /
-            static_cast<double>(result.schedule.total_cycles) -
-        1.0;
-  return result;
+Schedule reference_optimal_schedule(const SessionScheduler& scheduler) {
+  const std::vector<std::size_t> scan = canonical_scan_order(scheduler);
+  std::vector<std::size_t> bist;
+  for (std::size_t i = 0; i < scheduler.cores().size(); ++i)
+    if (!scheduler.cores()[i].is_scan()) bist.push_back(i);
+  const bool pure_bist = scan.empty();
+  const std::vector<std::size_t>& items = pure_bist ? bist : scan;
+  CASBUS_REQUIRE(items.size() <= kExactMaxScanCores,
+                 "reference_optimal_schedule: instance too large to "
+                 "enumerate");
+
+  // A pure-BIST session's cost is its own, so a partition prices as the
+  // sum of its sessions; scan partitions go through the shared evaluator.
+  const auto price = [&](const PartitionGroups& groups,
+                         std::vector<ScheduledSession>* sessions) {
+    if (!pure_bist)
+      return price_scan_partition(scheduler, groups, bist, sessions);
+    std::uint64_t total = 0;
+    for (const std::vector<std::size_t>& g : groups) {
+      const ScheduledSession session = scheduler.price_session({}, g);
+      total += session.total_cycles();
+      if (sessions != nullptr) sessions->push_back(session);
+    }
+    return total;
+  };
+
+  std::uint64_t best_total = UINT64_MAX;
+  PartitionGroups best_groups;
+  for_each_partition(items, [&](const PartitionGroups& groups) {
+    if (pure_bist)
+      for (const std::vector<std::size_t>& g : groups)
+        if (g.size() > scheduler.width()) return;  // one wire per engine
+    const std::uint64_t total = price(groups, nullptr);
+    if (total < best_total) {
+      best_total = total;
+      best_groups = groups;
+    }
+  });
+
+  Schedule schedule;
+  schedule.total_cycles = price(best_groups, &schedule.sessions);
+  return schedule;
 }
 
 }  // namespace casbus::sched

@@ -1,8 +1,8 @@
 /// \file lower_bound.hpp
 /// Admissible lower bounds on CAS-BUS test schedules.
 ///
-/// These bounds underpin the exact scheduler's pruning and the
-/// branch-and-bound search in src/explore/: every function here provably
+/// These bounds underpin the pruning of the branch-and-bound search in
+/// src/explore/ (and so of Strategy::Exact): every function here provably
 /// underestimates the cost the pricing model (SessionScheduler) can charge
 /// for the same work, so a search that discards nodes whose bound meets the
 /// incumbent never discards an optimum. The key inequality is the classical
@@ -43,7 +43,7 @@ struct GroupBound {
 /// (patterns * bits per core — invariant under chain placement) plus BIST
 /// engine occupancy (one wire for the engine's whole run). Divided by the
 /// bus width this is the conservation term shared by schedule_lower_bound
-/// and the exact / branch-and-bound node bounds.
+/// and the branch-and-bound node bound.
 [[nodiscard]] std::uint64_t total_wire_work(
     const std::vector<CoreTestSpec>& cores);
 
@@ -62,14 +62,15 @@ struct GroupBound {
 // --- Partition-model bounds -------------------------------------------
 //
 // The three functions below are admissible versus the *partition pricing
-// model* shared by sched::exact_schedule and explore::BranchBoundScheduler
-// (price_scan_partition): a scan session keeps at least one scan wire, so
-// it hosts at most width-1 BIST riders, and every engine that does not
-// ride gets a dedicated single-engine session. They are deliberately NOT
-// folded into schedule_lower_bound's universal claim: rail emulation
-// serializes engines on one wire of one rail, which can beat the per-
-// session chunking these bounds assume (engines {10,1,1,1} on 2 wires run
-// in 10 cycles on a rail but no 1-rider-per-session partition does).
+// model* of explore::BranchBoundScheduler and
+// sched::reference_optimal_schedule (price_scan_partition): a scan session
+// keeps at least one scan wire, so it hosts at most width-1 BIST riders,
+// and every engine that does not ride gets a dedicated single-engine
+// session. They are deliberately NOT folded into schedule_lower_bound's
+// universal claim: rail emulation serializes engines on one wire of one
+// rail, which can beat the per-session chunking these bounds assume
+// (engines {10,1,1,1} on 2 wires run in 10 cycles on a rail but no
+// 1-rider-per-session partition does).
 
 /// Minimum number of sessions any completion of a prefix with
 /// \p scan_groups open scan groups can end with, counting the dedicated

@@ -10,7 +10,6 @@
 // archive; if sched ever needs to stand alone, this dispatch case is the
 // one seam to cut.
 #include "explore/branch_bound.hpp"
-#include "sched/exact.hpp"
 
 namespace casbus::sched {
 
@@ -48,16 +47,23 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
     case Strategy::Phased: return phased();
     case Strategy::Best: return best();
     case Strategy::Exact:
-      // Gap-free dispatch: callers here want the schedule, not the
-      // best()-vs-optimal comparison.
-      return exact_schedule(*this, 12, /*compute_heuristic_gap=*/false)
-          .schedule;
     case Strategy::BranchBound: {
       explore::BranchBoundConfig bb;
       bb.threads = sched_threads;  // deterministic mode stays on: the
                                    // schedule must not depend on threads
+      if (s == Strategy::Exact) {
+        const auto scan_cores = static_cast<std::size_t>(
+            std::count_if(cores_.begin(), cores_.end(),
+                          [](const CoreTestSpec& c) { return c.is_scan(); }));
+        CASBUS_REQUIRE(scan_cores <= kExactMaxScanCores,
+                       "Strategy::Exact: instance too large for "
+                       "exhaustive search");
+        bb.node_budget = SIZE_MAX;
+      }
       const explore::BranchBoundResult result =
           explore::BranchBoundScheduler(*this, bb).run();
+      CASBUS_ASSERT(s != Strategy::Exact || result.optimal,
+                    "Strategy::Exact: unbudgeted search did not finish");
       if (stats != nullptr) {
         stats->nodes_expanded = result.nodes_expanded;
         stats->prunes = result.prunes;

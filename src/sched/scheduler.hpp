@@ -22,7 +22,8 @@ namespace casbus::sched {
 
 /// Search-effort counters a strategy can report through schedule_with()'s
 /// optional out-param. Only search-based strategies fill them in
-/// (Strategy::BranchBound today); analytic heuristics leave the zeros.
+/// (Strategy::BranchBound and Strategy::Exact); analytic heuristics leave
+/// the zeros.
 /// Pure observability: the counters never influence the schedule.
 struct ScheduleStats {
   std::uint64_t nodes_expanded = 0;          ///< B&B nodes popped
@@ -45,9 +46,13 @@ enum class Strategy {
   Greedy,      ///< SessionScheduler::greedy()
   Phased,      ///< SessionScheduler::phased()
   Best,        ///< SessionScheduler::best()
-  Exact,       ///< sched::exact_schedule — optimal, small instances only
+  Exact,       ///< explore::BranchBoundScheduler, no budget — optimal
   BranchBound, ///< explore::BranchBoundScheduler — anytime best-first B&B
 };
+
+/// Largest scan-core count Strategy::Exact (and the reference enumerator
+/// in sched/exact.hpp) accepts: the search is exponential in it.
+inline constexpr std::size_t kExactMaxScanCores = 12;
 
 /// Stable lowercase name ("single", "per_core", "greedy", "phased",
 /// "best", "exact", "branch_bound").
@@ -130,13 +135,15 @@ class SessionScheduler {
 
   /// Dispatches to the strategy named by \p s — the run-time-selection
   /// entry point used by the test floor and the CLIs. Strategy::Exact
-  /// throws (via exact_schedule) beyond ~12 scan cores;
-  /// Strategy::BranchBound runs the default-budget branch-and-bound and
-  /// always returns a chip-synchronous partition schedule. A non-null
-  /// \p stats receives the strategy's search-effort counters.
+  /// runs the branch-and-bound search with no node budget, so it returns a
+  /// proven-optimal partition schedule, and throws PreconditionError
+  /// beyond kExactMaxScanCores scan cores; Strategy::BranchBound runs the
+  /// default-budget search. Both always return a chip-synchronous
+  /// partition schedule. A non-null \p stats receives the strategy's
+  /// search-effort counters.
   /// \p sched_threads drives the branch-and-bound search's worker pool
-  /// (1 = serial, 0 = one per hardware thread) and is ignored by every
-  /// other strategy; the search runs in deterministic mode, so the
+  /// (1 = serial, 0 = one per hardware thread) and is ignored by the
+  /// non-search strategies; the search runs in deterministic mode, so the
   /// returned Schedule is byte-identical at any thread count — which is
   /// what keeps this entry point memoizable (see the free overload).
   [[nodiscard]] Schedule schedule_with(Strategy s,
@@ -151,7 +158,7 @@ class SessionScheduler {
   }
 
   /// Prices one candidate session with the shared cost model — public so
-  /// external search strategies (e.g. sched::exact_schedule) stay
+  /// external search strategies (e.g. explore::BranchBoundScheduler) stay
   /// cost-consistent with the built-in heuristics.
   [[nodiscard]] ScheduledSession price_session(
       const std::vector<std::size_t>& scan_cores,
@@ -180,9 +187,8 @@ class SessionScheduler {
 /// deterministic function of exactly (\p cores, \p bus_width, \p s) —
 /// \p sched_threads is an engine knob that cannot change it (the
 /// branch-and-bound search runs deterministically) — this is the
-/// memoizable scheduling entry point: the floor's per-worker program
-/// caches (src/floor/) key compiled programs on a digest of those three
-/// inputs and reuse the returned Schedule byte-for-byte.
+/// memoizable scheduling entry point, and part of what keeps a floor job
+/// a pure function of its spec (src/floor/job.hpp).
 [[nodiscard]] Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
                                      unsigned bus_width, Strategy s,
                                      ScheduleStats* stats = nullptr,

@@ -77,12 +77,12 @@ struct CompiledProgram {
 /// Compiles a complete program for \p soc: derives the core specs
 /// (specs_of), schedules them on the SoC's own bus width with \p strategy
 /// (via the pure sched::schedule_with entry point, so equal inputs compile
-/// byte-identical programs — the property the floor's program caches rely
-/// on). Strategies other than sched::Strategy::Best always yield an
-/// executable (chip-synchronous) program; Best may not — run_program
-/// rejects those. Read-only on the SoC: compilation never touches
+/// byte-identical programs — part of the job purity the floor's verdict
+/// caches rely on). Strategies other than sched::Strategy::Best always
+/// yield an executable (chip-synchronous) program; Best may not —
+/// run_program rejects those. Read-only on the SoC: compilation never touches
 /// simulation state, so one const Soc may serve compile_program while a
-/// cached program for the same geometry is being re-run elsewhere.
+/// program compiled for the same geometry is being run elsewhere.
 CompiledProgram compile_program(const Soc& soc, sched::Strategy strategy,
                                 std::size_t patterns_per_ff = 1,
                                 std::uint64_t pattern_seed = 1);

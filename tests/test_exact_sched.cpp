@@ -1,13 +1,16 @@
-// The exhaustive scheduler: optimality sanity, pruning soundness, and
-// heuristic-gap bounds.
-
-#include <functional>
+// Strategy::Exact (the branch-and-bound search with no node budget):
+// optimality against the unpruned reference enumerator, pruning soundness,
+// search-effort bounds, and the instance-size precondition.
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "explore/soc_generator.hpp"
 #include "sched/exact.hpp"
 #include "sched/lower_bound.hpp"
 #include "util/rng.hpp"
+#include "verify/schedule_lint.hpp"
 
 namespace casbus::sched {
 namespace {
@@ -28,34 +31,26 @@ std::vector<CoreTestSpec> random_instance(Rng& rng, std::size_t min_cores,
   return cores;
 }
 
-/// Unpruned reference: minimum over every scan partition, priced with the
-/// same shared evaluator the search uses.
-std::uint64_t brute_force_optimum(const SessionScheduler& s) {
-  std::vector<std::size_t> scan, bist;
-  for (std::size_t i = 0; i < s.cores().size(); ++i) {
-    if (s.cores()[i].is_scan())
-      scan.push_back(i);
-    else
-      bist.push_back(i);
+/// Strategy::Exact's schedule together with its search-effort counters.
+Schedule exact(const SessionScheduler& s, ScheduleStats* stats = nullptr) {
+  return s.schedule_with(Strategy::Exact, stats);
+}
+
+TEST(ReferenceEnumerator, VisitsEveryPartitionOnce) {
+  // Bell numbers B(1..6), each partition distinct and covering every item.
+  const std::size_t bell[] = {1, 2, 5, 15, 52, 203};
+  for (std::size_t n = 1; n <= 6; ++n) {
+    std::vector<std::size_t> items;
+    for (std::size_t i = 0; i < n; ++i) items.push_back(10 + i);
+    std::set<PartitionGroups> seen;
+    for_each_partition(items, [&](const PartitionGroups& groups) {
+      std::size_t covered = 0;
+      for (const auto& g : groups) covered += g.size();
+      EXPECT_EQ(covered, n);
+      seen.insert(groups);
+    });
+    EXPECT_EQ(seen.size(), bell[n - 1]) << n << " items";
   }
-  std::uint64_t best = UINT64_MAX;
-  std::vector<std::vector<std::size_t>> groups;
-  const std::function<void(std::size_t)> recurse = [&](std::size_t idx) {
-    if (idx == scan.size()) {
-      best = std::min(best, price_scan_partition(s, groups, bist));
-      return;
-    }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      groups[g].push_back(scan[idx]);
-      recurse(idx + 1);
-      groups[g].pop_back();
-    }
-    groups.push_back({scan[idx]});
-    recurse(idx + 1);
-    groups.pop_back();
-  };
-  recurse(0);
-  return best;
 }
 
 TEST(ExactScheduler, NeverWorseThanAnyHeuristic) {
@@ -66,15 +61,13 @@ TEST(ExactScheduler, NeverWorseThanAnyHeuristic) {
 
     const auto width = static_cast<unsigned>(2 + rng.below(5));
     SessionScheduler s(cores, width);
-    const ExactResult exact = exact_schedule(s);
+    const Schedule optimum = exact(s);
 
-    EXPECT_LE(exact.schedule.total_cycles,
-              s.single_session().total_cycles)
+    EXPECT_LE(optimum.total_cycles, s.single_session().total_cycles)
         << "trial " << trial;
-    EXPECT_LE(exact.schedule.total_cycles,
-              s.per_core_sessions().total_cycles)
+    EXPECT_LE(optimum.total_cycles, s.per_core_sessions().total_cycles)
         << "trial " << trial;
-    EXPECT_LE(exact.schedule.total_cycles, s.greedy().total_cycles)
+    EXPECT_LE(optimum.total_cycles, s.greedy().total_cycles)
         << "trial " << trial;
   }
 }
@@ -87,9 +80,40 @@ TEST(ExactScheduler, PruningPreservesOptimality) {
     std::vector<CoreTestSpec> cores = random_instance(rng, 3, 4);
     if (rng.coin()) cores.push_back(CoreTestSpec{"b", {}, 0, 2000});
     SessionScheduler s(cores, static_cast<unsigned>(2 + rng.below(4)));
-    const ExactResult exact = exact_schedule(s);
-    EXPECT_EQ(exact.schedule.total_cycles, brute_force_optimum(s))
+    EXPECT_EQ(exact(s).total_cycles,
+              reference_optimal_schedule(s).total_cycles)
         << "trial " << trial;
+  }
+}
+
+TEST(ExactScheduler, MatchesReferenceOnSeededSweep) {
+  // 240 random instances with up to 9 scan cores: scan-only, scan with
+  // BIST riders (some wide enough to overflow the rider slots), and pure
+  // BIST. Every Exact schedule must cost exactly the enumerated optimum
+  // and pass the static schedule linter.
+  Rng rng(2024);
+  for (int trial = 0; trial < 240; ++trial) {
+    const int kind = trial % 3;  // 0 scan-only, 1 with riders, 2 pure BIST
+    std::vector<CoreTestSpec> cores;
+    if (kind != 2) cores = random_instance(rng, 1, 9);
+    if (kind != 0) {
+      const std::size_t engines = 1 + rng.below(kind == 2 ? 8 : 4);
+      for (std::size_t e = 0; e < engines; ++e)
+        cores.push_back(CoreTestSpec{"b" + std::to_string(e), {}, 0,
+                                     50 + rng.below(3000)});
+    }
+    const auto width = static_cast<unsigned>(2 + rng.below(5));
+    const SessionScheduler s(cores, width);
+
+    const Schedule optimum = exact(s);
+    EXPECT_EQ(optimum.total_cycles,
+              reference_optimal_schedule(s).total_cycles)
+        << "trial " << trial << " (" << cores.size() << " cores, width "
+        << width << ")";
+    const verify::LintReport lint =
+        verify::lint_schedule(optimum, cores, width);
+    EXPECT_TRUE(lint.clean()) << "trial " << trial << ":\n"
+                              << lint.to_string();
   }
 }
 
@@ -109,48 +133,36 @@ TEST(ExactScheduler, GreedyStaysWithinModestGapOnSmallInstances) {
       cores.push_back(std::move(c));
     }
     SessionScheduler s(cores, 3);
-    const ExactResult exact = exact_schedule(s);
-    const double gap =
-        static_cast<double>(s.greedy().total_cycles) /
-            static_cast<double>(exact.schedule.total_cycles) -
-        1.0;
+    const double gap = static_cast<double>(s.greedy().total_cycles) /
+                           static_cast<double>(exact(s).total_cycles) -
+                       1.0;
     worst_gap = std::max(worst_gap, gap);
   }
   EXPECT_LT(worst_gap, 0.25) << "greedy strayed too far from optimal";
 }
 
-TEST(ExactScheduler, HeuristicGapComputedInLibrary) {
-  Rng rng(29);
-  std::vector<CoreTestSpec> cores = random_instance(rng, 4, 3);
-  SessionScheduler s(cores, 3);
-  const ExactResult exact = exact_schedule(s);
-  const double expected =
-      static_cast<double>(s.best().total_cycles) /
-          static_cast<double>(exact.schedule.total_cycles) -
-      1.0;
-  EXPECT_DOUBLE_EQ(exact.heuristic_gap, expected);
-  // best() can beat the partition optimum via rail emulation, so the gap
-  // may be negative — but never below -1.
-  EXPECT_GT(exact.heuristic_gap, -1.0);
-}
-
 TEST(ExactScheduler, SingleCoreIsTrivial) {
   std::vector<CoreTestSpec> cores = {CoreTestSpec{"only", {30, 30}, 50, 0}};
   SessionScheduler s(cores, 4);
-  const ExactResult exact = exact_schedule(s);
-  // The greedy incumbent already is the only partition; the search may
+  ScheduleStats stats;
+  const Schedule optimum = exact(s, &stats);
+  // The incumbent seed already is the only partition; the search may
   // prune everything.
-  EXPECT_LE(exact.partitions_tried, 1u);
-  EXPECT_EQ(exact.schedule.total_cycles,
-            s.per_core_sessions().total_cycles);
+  EXPECT_LE(stats.leaves_priced, 1u);
+  EXPECT_EQ(optimum.total_cycles, s.per_core_sessions().total_cycles);
 }
 
 TEST(ExactScheduler, RefusesOversizedInstances) {
   std::vector<CoreTestSpec> cores;
-  for (int i = 0; i < 12; ++i)
+  for (std::size_t i = 0; i <= kExactMaxScanCores; ++i)
     cores.push_back(CoreTestSpec{"c" + std::to_string(i), {10}, 10, 0});
   SessionScheduler s(cores, 4);
-  EXPECT_THROW((void)exact_schedule(s, 10), PreconditionError);
+  EXPECT_THROW((void)exact(s), PreconditionError);
+  EXPECT_THROW((void)reference_optimal_schedule(s), PreconditionError);
+  // BIST engines do not count against the limit.
+  cores.pop_back();
+  cores.push_back(CoreTestSpec{"b", {}, 0, 100});
+  EXPECT_NO_THROW((void)exact(SessionScheduler(cores, 4)));
 }
 
 TEST(ExactScheduler, PruningCutsTheBellSearchSpace) {
@@ -160,10 +172,23 @@ TEST(ExactScheduler, PruningCutsTheBellSearchSpace) {
   for (int i = 0; i < 4; ++i)
     cores.push_back(CoreTestSpec{"c" + std::to_string(i), {10}, 10, 0});
   SessionScheduler s(cores, 4);
-  const ExactResult exact = exact_schedule(s);
-  EXPECT_LE(exact.partitions_tried, 15u);
-  EXPECT_GT(exact.partitions_tried + exact.subtrees_pruned, 0u);
-  EXPECT_EQ(exact.schedule.total_cycles, brute_force_optimum(s));
+  ScheduleStats stats;
+  const Schedule optimum = exact(s, &stats);
+  EXPECT_LE(stats.leaves_priced, 15u);
+  EXPECT_EQ(optimum.total_cycles,
+            reference_optimal_schedule(s).total_cycles);
+  // Identical cores: the greedy seed already meets the root bound, so the
+  // search may stop before pricing or pruning anything. On this unequal
+  // instance greedy is not optimal, so the search has to do real work.
+  Rng rng(12);
+  SessionScheduler u(random_instance(rng, 4, 1), 4);
+  ScheduleStats searched;
+  const Schedule u_optimum = exact(u, &searched);
+  EXPECT_LE(searched.leaves_priced, 15u);
+  EXPECT_GT(searched.leaves_priced + searched.prunes, 0u);
+  EXPECT_LT(u_optimum.total_cycles, u.greedy().total_cycles);
+  EXPECT_EQ(u_optimum.total_cycles,
+            reference_optimal_schedule(u).total_cycles);
 }
 
 TEST(ExactScheduler, PrunedSearchHandlesTenCoresQuickly) {
@@ -179,12 +204,35 @@ TEST(ExactScheduler, PrunedSearchHandlesTenCoresQuickly) {
     cores.push_back(std::move(c));
   }
   SessionScheduler s(cores, 4);
-  const ExactResult exact = exact_schedule(s);
-  EXPECT_GT(exact.subtrees_pruned, 0u);
-  EXPECT_LT(exact.partitions_tried, 115975u);
-  EXPECT_LE(exact.schedule.total_cycles, s.greedy().total_cycles);
-  EXPECT_GE(exact.schedule.total_cycles,
+  ScheduleStats stats;
+  const Schedule optimum = exact(s, &stats);
+  EXPECT_GT(stats.prunes, 0u);
+  EXPECT_LT(stats.leaves_priced, 115975u);
+  EXPECT_LE(optimum.total_cycles, s.greedy().total_cycles);
+  EXPECT_GE(optimum.total_cycles,
             schedule_lower_bound(cores, 4, s.reconfig_cost()));
+  EXPECT_EQ(optimum.total_cycles,
+            reference_optimal_schedule(s).total_cycles);
+}
+
+TEST(ExactScheduler, CanBeatTheReferenceOnAPresentationTie) {
+  // price_scan_partition depends on how a partition is presented (LPT and
+  // BIST-slotting tie-breaks), and the search also prices greedy's seed in
+  // greedy's own session order. On this known 10-core instance that beats
+  // every canonically presented partition by 38%. Pinned so the gap stays
+  // visible: once pricing is canonical this becomes an equality.
+  const explore::GeneratedSoc soc =
+      explore::SocGenerator(1).generate(10, explore::SocProfile::BistHeavy,
+                                        27);
+  SessionScheduler s(soc.cores, soc.suggested_width);
+  const Schedule optimum = exact(s);
+  EXPECT_EQ(optimum.total_cycles, 1451932u);
+  EXPECT_EQ(reference_optimal_schedule(s).total_cycles, 2352259u);
+  EXPECT_GE(optimum.total_cycles,
+            schedule_lower_bound(soc.cores, soc.suggested_width,
+                                 s.reconfig_cost()));
+  EXPECT_TRUE(
+      verify::lint_schedule(optimum, soc.cores, soc.suggested_width).clean());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The design-space exploration subsystem: generator determinism and
-// population shape, branch-and-bound optimality against exact_schedule,
-// lower-bound admissibility, and the Pareto sweep.
+// population shape, branch-and-bound optimality against the reference
+// enumerator (sched::reference_optimal_schedule), lower-bound
+// admissibility, and the Pareto sweep.
 
 #include <gtest/gtest.h>
 
@@ -106,12 +107,12 @@ TEST(LowerBound, AdmissibleAgainstEveryStrategy) {
           sched::Strategy::Best})
       EXPECT_LE(lb, s.schedule_with(strategy).total_cycles)
           << "trial " << trial << " " << sched::strategy_name(strategy);
-    EXPECT_LE(lb, sched::exact_schedule(s).schedule.total_cycles)
+    EXPECT_LE(lb, sched::reference_optimal_schedule(s).total_cycles)
         << "trial " << trial;
   }
 }
 
-TEST(BranchBound, MatchesExactOptimumOnSmallInstances) {
+TEST(BranchBound, MatchesReferenceOptimumOnSmallInstances) {
   Rng rng(67);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<sched::CoreTestSpec> cores;
@@ -129,11 +130,11 @@ TEST(BranchBound, MatchesExactOptimumOnSmallInstances) {
 
     const auto width = static_cast<unsigned>(2 + rng.below(5));
     const sched::SessionScheduler s(cores, width);
-    const sched::ExactResult exact = sched::exact_schedule(s);
+    const sched::Schedule reference = sched::reference_optimal_schedule(s);
     const BranchBoundResult bb = BranchBoundScheduler(s).run();
 
     EXPECT_TRUE(bb.optimal) << "trial " << trial;
-    EXPECT_EQ(bb.best_cost, exact.schedule.total_cycles)
+    EXPECT_EQ(bb.best_cost, reference.total_cycles)
         << "trial " << trial;
     EXPECT_EQ(bb.best_cost, bb.lower_bound) << "trial " << trial;
     EXPECT_DOUBLE_EQ(bb.gap(), 0.0) << "trial " << trial;
@@ -199,7 +200,8 @@ TEST(BranchBound, PureBistChunksByLengthNotInputOrder) {
   EXPECT_TRUE(bb.optimal);
   EXPECT_EQ(bb.best_cost, 100 + 1 + 2 * config);  // {a,c} then {b,d}
   EXPECT_LT(bb.best_cost, s.single_session().total_cycles);
-  EXPECT_EQ(sched::exact_schedule(s).schedule.total_cycles, bb.best_cost);
+  EXPECT_EQ(sched::reference_optimal_schedule(s).total_cycles,
+            bb.best_cost);
 }
 
 TEST(Strategy, NewNamesRoundTripAndDispatch) {
@@ -218,7 +220,7 @@ TEST(Strategy, NewNamesRoundTripAndDispatch) {
   }
   const sched::SessionScheduler s(cores, 3);
   EXPECT_EQ(s.schedule_with(sched::Strategy::Exact).total_cycles,
-            sched::exact_schedule(s).schedule.total_cycles);
+            sched::reference_optimal_schedule(s).total_cycles);
   EXPECT_EQ(s.schedule_with(sched::Strategy::BranchBound).total_cycles,
             BranchBoundScheduler(s).run().best_cost);
 }

@@ -1,5 +1,5 @@
 // The streaming test-floor service: live submission, slot-ordered polling,
-// bounded backpressure, graceful close, the per-worker program/verdict
+// bounded backpressure, graceful close, the per-worker verdict
 // caches, and the refactor's headline guarantee — deterministic summaries
 // that are byte-identical across worker counts, cache settings, and the
 // batch-vs-streaming API split.
@@ -7,13 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "floor/job_factory.hpp"
-#include "floor/program_cache.hpp"
 #include "floor/session.hpp"
 #include "floor/test_floor.hpp"
+#include "floor/verdict_cache.hpp"
 
 namespace casbus::floor {
 namespace {
@@ -173,32 +172,26 @@ TEST(FloorSession, StreamingMatchesBatchByteForByte) {
 }
 
 TEST(FloorSession, CacheOnAndOffAreByteIdenticalAt1And4Workers) {
-  // Repeated specs make the caches actually fire; the deterministic
-  // summary must not notice them, at any worker count.
+  // Repeated specs make the cache actually fire; the deterministic
+  // summary must not notice it, at any worker count.
   const auto jobs = repeated_jobs(77, 24, 3);
 
   std::string reference;
   for (const std::size_t workers : {1u, 4u}) {
     for (const std::size_t cache : {0u, 8u}) {
-      for (const bool verdicts : {false, true}) {
-        FloorConfig config;
-        config.workers = workers;
-        config.cache_capacity = cache;
-        config.reuse_verdicts = verdicts;
-        const FloorReport report = TestFloor(config).run(jobs);
-        if (reference.empty()) reference = report.deterministic_summary();
-        EXPECT_EQ(report.deterministic_summary(), reference)
-            << "workers=" << workers << " cache=" << cache
-            << " verdicts=" << verdicts;
-        // The cache serves repeats whenever it is enabled at all: with
-        // verdict reuse every repeat hits; program-tier-only still hits
-        // for every repeated scheduled recipe.
-        if (cache > 0 && verdicts) {
-          EXPECT_GE(report.cache_hits, jobs.size() - 3 * workers);
-        }
-        if (cache == 0) {
-          EXPECT_EQ(report.cache_hits, 0u);
-        }
+      FloorConfig config;
+      config.workers = workers;
+      config.cache_capacity = cache;
+      const FloorReport report = TestFloor(config).run(jobs);
+      if (reference.empty()) reference = report.deterministic_summary();
+      EXPECT_EQ(report.deterministic_summary(), reference)
+          << "workers=" << workers << " cache=" << cache;
+      // An enabled cache serves every repeat once its worker has run the
+      // recipe; a disabled one serves nothing.
+      if (cache > 0) {
+        EXPECT_GE(report.cache_hits, jobs.size() - 3 * workers);
+      } else {
+        EXPECT_EQ(report.cache_hits, 0u);
       }
     }
   }
@@ -218,8 +211,6 @@ TEST(FloorSession, VerdictReuseRestampsJobIds) {
     }
   }
   EXPECT_EQ(report.cache_hits, 7u);
-  EXPECT_EQ(report.verdict_tier_hits, 7u);
-  EXPECT_EQ(report.program_tier_hits, 0u);
 }
 
 // --- Stage accounting -------------------------------------------------------
@@ -239,10 +230,10 @@ TEST(FloorSession, StageSecondsCoverThePipeline) {
             report.stage_seconds[static_cast<std::size_t>(Stage::Schedule)]);
 }
 
-// --- ProgramCache unit behavior ---------------------------------------------
+// --- VerdictCache unit behavior ---------------------------------------------
 
-TEST(ProgramCache, LruEvictsOldestRecipe) {
-  ProgramCache cache(2);
+TEST(VerdictCache, LruEvictsOldestRecipe) {
+  VerdictCache cache(2);
   JobSpec a, b, c;
   a.seed = 1;
   b.seed = 2;
@@ -259,19 +250,18 @@ TEST(ProgramCache, LruEvictsOldestRecipe) {
   EXPECT_TRUE(cache.reuse(c).has_value());
 }
 
-TEST(ProgramCache, CapacityZeroDisablesEverything) {
-  ProgramCache cache(0);
+TEST(VerdictCache, CapacityZeroDisablesEverything) {
+  VerdictCache cache(0);
   JobSpec spec;
   JobResult result;
   result.pass = true;
   cache.qualify(spec, result);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.reuse(spec).has_value());
-  EXPECT_EQ(cache.find_program(spec), nullptr);
 }
 
-TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
-  ProgramCache cache(4);
+TEST(VerdictCache, ReuseZeroesTimingAndMarksHit) {
+  VerdictCache cache(4);
   JobSpec spec;
   JobResult result;
   result.pass = true;
@@ -287,19 +277,6 @@ TEST(ProgramCache, ReuseZeroesTimingAndMarksHit) {
   EXPECT_TRUE(memo->pass);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.lookups(), 1u);
-}
-
-TEST(ProgramCache, VerdictTierCanBeDisabledIndependently) {
-  ProgramCache cache(4, /*reuse_verdicts=*/false);
-  JobSpec spec;
-  JobResult result;
-  result.pass = true;
-  cache.qualify(spec, result);
-  EXPECT_FALSE(cache.reuse(spec).has_value());
-  // The program tier still works.
-  auto program = std::make_shared<soc::CompiledProgram>();
-  cache.put_program(spec, program);
-  EXPECT_EQ(cache.find_program(spec), program);
 }
 
 }  // namespace

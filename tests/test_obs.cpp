@@ -405,12 +405,11 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   EXPECT_LE(stats.queue.high_water, jobs.size());
   // Cache counters agree with the report's tier accounting.
   EXPECT_EQ(stats.cache_lookups, jobs.size());
-  EXPECT_EQ(stats.cache_program_hits, report.program_tier_hits);
-  EXPECT_EQ(stats.cache_verdict_hits, report.verdict_tier_hits);
-  // Every job that executed recorded one Build-stage observation (Build
-  // is never skipped by any cache tier except verdict reuse).
+  EXPECT_EQ(stats.cache_verdict_hits, report.cache_hits);
+  // Every job that executed recorded one Build-stage observation (only a
+  // verdict-cache hit skips Build).
   const auto& build = stats.stages[static_cast<std::size_t>(Stage::Build)];
-  EXPECT_EQ(build.count, jobs.size() - report.verdict_tier_hits);
+  EXPECT_EQ(build.count, jobs.size() - report.cache_hits);
   EXPECT_GE(build.total_seconds, 0.0);
   // Workers accumulated busy time; a trace was recorded without drops.
   EXPECT_EQ(stats.worker_busy_seconds.size(), 2u);
@@ -464,7 +463,7 @@ TEST(FloorTelemetry, VerdictReuseLandsInTheVerdictTierCounter) {
   for (const JobSpec& spec : jobs) ASSERT_TRUE(session.submit(spec));
   const FloorReport report = session.drain();
   const FloorStats stats = session.stats_snapshot();
-  EXPECT_EQ(report.verdict_tier_hits, 4u);
+  EXPECT_EQ(report.cache_hits, 4u);
   EXPECT_EQ(stats.cache_verdict_hits, 4u);
   EXPECT_EQ(stats.cache_lookups, 5u);
   EXPECT_NEAR(stats.cache_hit_rate(), 0.8, 1e-9);

@@ -1,8 +1,9 @@
 // The parallel branch-and-bound engine: byte-identical results at any
-// thread count in deterministic mode, optimality against exact_schedule
-// across every generator profile, admissibility of the partition-model
-// bounds (session floor, overflow floor, BIST chunk bound) against an
-// exhaustive partition enumeration, and lint-clean parallel schedules.
+// thread count in deterministic mode, optimality against the reference
+// enumerator (sched::reference_optimal_schedule) across every generator
+// profile, admissibility of the partition-model bounds (session floor,
+// overflow floor, BIST chunk bound) over every partition that enumerator
+// visits, and lint-clean parallel schedules.
 
 #include <gtest/gtest.h>
 
@@ -94,12 +95,12 @@ TEST(ParallelBB, MatchesExactAcrossProfilesAndThreads) {
     const auto profile = static_cast<SocProfile>(p);
     const GeneratedSoc soc = SocGenerator(5).generate(9, profile);
     const sched::SessionScheduler s(soc.cores, soc.suggested_width);
-    const sched::ExactResult exact = sched::exact_schedule(s, 12, false);
+    const sched::Schedule reference = sched::reference_optimal_schedule(s);
     BranchBoundConfig config;
     config.threads = 4;
     const BranchBoundResult bb = BranchBoundScheduler(s, config).run();
     EXPECT_TRUE(bb.optimal) << profile_name(profile);
-    EXPECT_EQ(bb.best_cost, exact.schedule.total_cycles)
+    EXPECT_EQ(bb.best_cost, reference.total_cycles)
         << profile_name(profile);
     EXPECT_EQ(bb.best_cost, bb.lower_bound) << profile_name(profile);
   }
@@ -119,48 +120,12 @@ TEST(ParallelBB, CloneHeavyInstanceStaysExact) {
   cores.push_back(bist_core("eng1", 900));
   for (const unsigned width : {3u, 4u, 6u}) {
     const sched::SessionScheduler s(cores, width);
-    const sched::ExactResult exact = sched::exact_schedule(s, 12, false);
+    const sched::Schedule reference = sched::reference_optimal_schedule(s);
     BranchBoundConfig config;
     config.threads = 2;
     const BranchBoundResult bb = BranchBoundScheduler(s, config).run();
     EXPECT_TRUE(bb.optimal) << "width " << width;
-    EXPECT_EQ(bb.best_cost, exact.schedule.total_cycles) << "width "
-                                                         << width;
-  }
-}
-
-/// Enumerates every set partition of [0, n) (restricted growth strings),
-/// invoking fn(groups).
-template <typename Fn>
-void for_each_partition(std::size_t n, Fn&& fn) {
-  std::vector<std::size_t> label(n, 0);
-  std::vector<std::vector<std::size_t>> groups;
-  const auto emit = [&] {
-    const std::size_t k =
-        n == 0 ? 0 : 1 + *std::max_element(label.begin(), label.end());
-    groups.assign(k, {});
-    for (std::size_t i = 0; i < n; ++i) groups[label[i]].push_back(i);
-    fn(groups);
-  };
-  // Iterative restricted-growth enumeration.
-  while (true) {
-    emit();
-    std::size_t i = n;
-    while (i-- > 1) {
-      std::size_t prefix_max = 0;
-      for (std::size_t j = 0; j < i; ++j)
-        prefix_max = std::max(prefix_max, label[j]);
-      if (label[i] <= prefix_max) {
-        ++label[i];
-        std::fill(label.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  label.end(), 0);
-        break;
-      }
-      label[i] = 0;
-    }
-    if (std::all_of(label.begin(), label.end(),
-                    [](std::size_t v) { return v == 0; }))
-      return;
+    EXPECT_EQ(bb.best_cost, reference.total_cycles) << "width " << width;
   }
 }
 
@@ -186,13 +151,8 @@ TEST(ParallelBB, PartitionFloorsAdmissibleByEnumeration) {
     const std::uint64_t chunk =
         sched::bist_chunk_bound(soc.cores, width);
 
-    for_each_partition(scan_idx.size(), [&](const auto& groups) {
-      std::vector<std::vector<std::size_t>> scan_groups;
-      for (const auto& g : groups) {
-        scan_groups.emplace_back();
-        for (const std::size_t i : g)
-          scan_groups.back().push_back(scan_idx[i]);
-      }
+    sched::for_each_partition(scan_idx, [&](const sched::PartitionGroups&
+                                                scan_groups) {
       std::vector<sched::ScheduledSession> sessions;
       const std::uint64_t total = sched::price_scan_partition(
           s, scan_groups, bist_idx, &sessions);
@@ -281,13 +241,13 @@ TEST(ParallelBB, LintCleanSweepOverParallelSchedules) {
 TEST(ParallelBB, FreeModeStillFindsTheOptimum) {
   const GeneratedSoc soc = SocGenerator(3).generate(9, SocProfile::Mixed);
   const sched::SessionScheduler s(soc.cores, soc.suggested_width);
-  const sched::ExactResult exact = sched::exact_schedule(s, 12, false);
+  const sched::Schedule reference = sched::reference_optimal_schedule(s);
   BranchBoundConfig config;
   config.threads = 4;
   config.deterministic = false;
   const BranchBoundResult bb = BranchBoundScheduler(s, config).run();
   EXPECT_TRUE(bb.optimal);
-  EXPECT_EQ(bb.best_cost, exact.schedule.total_cycles);
+  EXPECT_EQ(bb.best_cost, reference.total_cycles);
   EXPECT_LE(bb.lower_bound, bb.best_cost);
   EXPECT_TRUE(verify::lint_branch_bound(bb, soc.cores,
                                         soc.suggested_width)

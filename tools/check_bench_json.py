@@ -73,7 +73,7 @@ FLOOR_REQUIRED_RECORDS = (
     ("stages", "seconds"),
 )
 
-FLOOR_REQUIRED_CACHE_CONFIGS = ("cold", "program_tier", "warm")
+FLOOR_REQUIRED_CACHE_CONFIGS = ("cold", "warm")
 
 
 def check_floor_schema(path: pathlib.Path) -> list[str]:

@@ -68,10 +68,11 @@ def print_snapshot(s):
           f" steals={queue.get('steals', 0)}"
           f" backpressure={queue.get('backpressure_engages', 0)}")
     lookups = cache.get("lookups", 0)
-    hits = cache.get("program_hits", 0) + cache.get("verdict_hits", 0)
+    hits = _hits(s)
+    legacy = (f" program={cache['program_hits']}"
+              if "program_hits" in cache else "")
     print(f"  cache: {hits}/{lookups} hits ({fmt_rate(hits, lookups)})"
-          f" — program={cache.get('program_hits', 0)}"
-          f" verdict={cache.get('verdict_hits', 0)}"
+          f" —{legacy} verdict={cache.get('verdict_hits', 0)}"
           f" insertions={cache.get('insertions', 0)}"
           f" evictions={cache.get('evictions', 0)}")
     memo_lookups = sim.get("memo_lookups", 0)
@@ -144,6 +145,8 @@ def print_diff(old, new):
 
 
 def _hits(s):
+    # Snapshots written before the program tier was removed also count
+    # program_hits; newer ones only have verdict_hits.
     cache = s.get("cache", {})
     return cache.get("program_hits", 0) + cache.get("verdict_hits", 0)
 
