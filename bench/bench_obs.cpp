@@ -8,11 +8,12 @@
 ///     Registry, and ns per site when telemetry is disabled (the
 ///     null-`Registry*` path every floor instrument site compiles to),
 ///     plus the cold-path snapshot() cost,
-///   - floor overhead: an identical repeated-spec job mix run through
-///     FloorSession with telemetry fully off and fully on
-///     (metrics + tracing), reporting both throughputs and the relative
-///     overhead fraction that the CI gate caps at 5%
-///     (tools/check_perf_gates.py --obs, bound in tools/bench_floors.json),
+///   - floor overhead: an identical job mix of cold and verdict-cached
+///     jobs run through FloorSession with telemetry fully off and fully on
+///     (metrics + tracing) in alternating repetitions, reporting both
+///     throughputs and the median paired overhead fraction that the CI
+///     gate caps at 5% (tools/check_perf_gates.py --obs, bound in
+///     tools/bench_floors.json),
 ///   - health-engine costs: µs per TimeSeriesSampler tick over the full
 ///     floor metric catalogue (gated at obs.max_sampler_tick_us — the
 ///     budget one background tick may spend inside the registry) and µs
@@ -134,36 +135,60 @@ int main() {
   rep.record("registry", {{"op", "snapshot"}}, "us", snapshot_us);
 
   // --- Head 2: whole-floor overhead --------------------------------------
-  // A repeated-spec mix (4 distinct recipes over 24 jobs) on 2 workers:
-  // heavy enough that the jobs dominate, cache-diverse enough that all
-  // instrument sites fire (lookups, verdict hits, stage timers, spans).
+  // kDistinct cold recipes, each submitted twice (the repeat is a
+  // verdict-cache hit), on one worker: the jobs dominate the wall time of
+  // a run (tens of milliseconds, not a few), and every instrument site
+  // fires (lookups, verdict hits, stage timers, spans).
   const floor::JobFactory factory(97);
   std::vector<floor::JobSpec> specs;
-  constexpr std::size_t kJobs = 24;
+  constexpr std::size_t kDistinct = 48;
+  constexpr std::size_t kJobs = 2 * kDistinct;
   for (std::size_t i = 0; i < kJobs; ++i) {
-    floor::JobSpec spec = factory.make_job(i % 4);
+    floor::JobSpec spec = factory.make_job(i % kDistinct);
     spec.id = i;
     specs.push_back(spec);
   }
 
   floor::FloorConfig off;
-  off.workers = 2;
+  off.workers = 1;
   floor::FloorConfig on = off;
   on.metrics = true;
   on.trace_capacity = kJobs * (floor::kStageCount + 1);
 
-  // Warm-up run (first-touch allocations, code paging), then measure the
-  // best of 3 for each configuration — min is the right statistic for an
-  // overhead bound because it strips scheduler noise, not telemetry cost.
+  // Warm-up runs (first-touch allocations, code paging), then kPairs
+  // off/on pairs, alternating which half runs first. The gate reads the
+  // median of the per-pair on/off ratios: runs are short, so a change in
+  // the host's load mostly hits both halves of a pair alike, and the
+  // median drops the pairs a burst of interference split. (A best-of-3 of
+  // 24 mostly cached jobs, the previous form, timed ~4 ms of work and
+  // swung past the cap on a busy host.)
   (void)floor_run_seconds(off, specs);
-  double off_s = 1e100, on_s = 1e100;
-  for (int rep_i = 0; rep_i < 3; ++rep_i) {
-    off_s = std::min(off_s, floor_run_seconds(off, specs));
-    on_s = std::min(on_s, floor_run_seconds(on, specs));
+  (void)floor_run_seconds(on, specs);
+  constexpr std::size_t kPairs = 31;
+  std::vector<double> off_runs, on_runs, ratios;
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    double off_pair = 0.0, on_pair = 0.0;
+    if (pair % 2 == 0) {
+      off_pair = floor_run_seconds(off, specs);
+      on_pair = floor_run_seconds(on, specs);
+    } else {
+      on_pair = floor_run_seconds(on, specs);
+      off_pair = floor_run_seconds(off, specs);
+    }
+    off_runs.push_back(off_pair);
+    on_runs.push_back(on_pair);
+    ratios.push_back(on_pair / off_pair);
   }
-  const double overhead = off_s > 0.0 ? (on_s - off_s) / off_s : 0.0;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double off_s = median(off_runs);
+  const double on_s = median(on_runs);
+  const double overhead = median(ratios) - 1.0;
 
-  std::cout << "\nfloor overhead (" << kJobs << " jobs, 2 workers):\n"
+  std::cout << "\nfloor overhead (" << kJobs << " jobs, 1 worker, median of "
+            << kPairs << " off/on pairs):\n"
             << "  telemetry off: " << format_double(off_s, 4) << " s ("
             << format_double(kJobs / off_s, 1) << " jobs/s)\n"
             << "  telemetry on:  " << format_double(on_s, 4) << " s ("
@@ -172,7 +197,9 @@ int main() {
             << "% (CI gate: <= 5%)\n";
 
   const JsonReporter::Params params = {
-      {"jobs", std::to_string(kJobs)}, {"workers", "2"}};
+      {"jobs", std::to_string(kJobs)},
+      {"workers", "1"},
+      {"pairs", std::to_string(kPairs)}};
   rep.record("floor_overhead", params, "off_seconds", off_s);
   rep.record("floor_overhead", params, "on_seconds", on_s);
   rep.record("floor_overhead", params, "jobs_per_sec_off", kJobs / off_s);

@@ -204,13 +204,16 @@ void BM_PackedGateSimEventShift(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedGateSimEventShift)->Arg(1024)->Arg(4096);
 
-/// Copies one wire onto another each evaluation. BM_NetlistCoreSettle
-/// registers a chain of these in reverse order, so a change at the chain's
-/// head takes one delta pass per stage to reach its end.
+/// Copies one wire onto another when its source changes.
+/// BM_NetlistCoreSettle registers a chain of these in reverse order, so a
+/// change at the chain's head takes one delta pass per stage to reach its
+/// end.
 class DeltaStage : public sim::Module {
  public:
   DeltaStage(const sim::Wire& src, sim::Wire& dst)
-      : sim::Module("delta"), src_(src), dst_(dst) {}
+      : sim::Module("delta"), src_(src), dst_(dst) {
+    watch(src_);
+  }
   void evaluate() override { dst_.set(src_.get()); }
 
  private:
@@ -219,14 +222,18 @@ class DeltaStage : public sim::Module {
 };
 
 /// The core-model layer under the kernel: a NetlistCore shifting scan data
-/// under sim::Simulation, as on the test floor, while kIdlePasses further
-/// delta passes per settle leave the core's inputs unchanged. Every pass
-/// calls the core's evaluate(), but only the clock edge and the pass that
-/// brings new scan-in bits change a source, so about two of the
-/// kIdlePasses + 2 calls per cycle sweep the gates. Change tracking in
-/// GateSim skips the idle sweeps and port indices resolved at construction
-/// keep the idle calls cheap; losing either costs well over the 5x margin
-/// of its CI floor.
+/// under sim::Simulation, as on the test floor, while a ripple down
+/// kIdlePasses reverse-registered stages adds that many delta passes per
+/// settle that leave the core's inputs unchanged. The event-driven kernel
+/// evaluates the core only in the pass that brings its new scan-in bits,
+/// and its tick() only captures, so a cycle costs one gate-level sweep
+/// (sweeps_per_cycle = 1) and no idle evaluate() calls. A kernel back on
+/// full passes evaluates every module in each of the ~kIdlePasses passes
+/// and measured ~6x slower; a NetlistCore::tick() that sweeps after the
+/// capture again (2 sweeps per cycle) ~1.3x; dropping GateSim change
+/// tracking or the resolved port indices no longer shows, since the core
+/// is evaluated only when an input changed. Its CI floor catches the
+/// full-pass regression; CasBusKernel.* bounds the evaluations exactly.
 void BM_NetlistCoreSettle(benchmark::State& state) {
   constexpr std::size_t kIdlePasses = 32;
   const tpg::SyntheticCore& synth = simcore_for(state.range(0));

@@ -20,6 +20,9 @@ CasBehavior::CasBehavior(std::string name, CasPorts ports)
                  "CAS: o/i bundles must both have P wires");
   CASBUS_REQUIRE(ports_.config != nullptr && ports_.update != nullptr,
                  "CAS: config and update wires are mandatory");
+  watch(ports_.e);
+  watch(ports_.i);
+  watch(ports_.config);  // update is read by tick() only
 }
 
 bool CasBehavior::chain_active() const {
@@ -69,6 +72,7 @@ void CasBehavior::tick() {
   }
   if (chain_active()) {
     shift_reg_.shift_in(ports_.e[0].get() == Logic4::One);
+    wake();  // s0 presents the register tail
   }
 }
 
@@ -85,6 +89,7 @@ void CasBehavior::force_instruction(std::uint64_t code) {
 
 void CasBehavior::load_instruction(std::uint64_t code) {
   instr_ = code;
+  wake();
   if (!isa_.is_test(code)) return;
   wire_of_port_ = isa_.decode(code).assignment();
   port_of_wire_.assign(isa_.n(), kNoPort);

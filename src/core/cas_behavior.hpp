@@ -37,7 +37,8 @@ struct CasPorts {
 ///
 /// The SwitchScheme is decoded once, when an instruction is loaded (update
 /// pulse, force_instruction(), reset()), into flat wire/port tables that
-/// evaluate() reads on every delta pass.
+/// evaluate() reads. evaluate() watches e, i and config; loading an
+/// instruction or shifting the instruction register wakes it.
 class CasBehavior : public sim::Module {
  public:
   /// Creates a CAS of geometry (N = ports.e.size(), P = ports.o.size()).

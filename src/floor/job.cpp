@@ -77,6 +77,8 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   const netlist::GateSim::SweepStats sweeps = tester.core_sweep_stats();
   result.engine.core_sweeps_run = sweeps.run;
   result.engine.core_sweeps_skipped = sweeps.skipped;
+  result.engine.kernel_evals = tester.kernel_stats().evals;
+  result.engine.kernel_passes = tester.kernel_stats().passes;
 }
 
 /// Maps the floor-level engine knobs onto soc::TesterOptions.
@@ -456,6 +458,8 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
     reg.add(ids.sim_sweep_cell_evals, e.sim_sweep_cell_evals);
     reg.add(ids.sim_core_sweeps, e.core_sweeps_run);
     reg.add(ids.sim_core_sweeps_skipped, e.core_sweeps_skipped);
+    reg.add(ids.sim_kernel_evals, e.kernel_evals);
+    reg.add(ids.sim_kernel_passes, e.kernel_passes);
     reg.add(ids.sched_nodes, e.sched_nodes_expanded);
     reg.add(ids.sched_prunes, e.sched_prunes);
     reg.add(ids.sched_improvements, e.sched_improvements);

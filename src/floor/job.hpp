@@ -130,6 +130,8 @@ struct JobEngineCounters {
   std::uint64_t sim_sweep_cell_evals = 0;  ///< full-sweep-equivalent work
   std::uint64_t core_sweeps_run = 0;      ///< core-model GateSim sweeps run
   std::uint64_t core_sweeps_skipped = 0;  ///< ... skipped (no source changed)
+  std::uint64_t kernel_evals = 0;   ///< sim::Simulation module evaluations
+  std::uint64_t kernel_passes = 0;  ///< ... settle passes
   std::uint64_t sched_nodes_expanded = 0;  ///< B&B expansions (0 otherwise)
   std::uint64_t sched_prunes = 0;          ///< B&B children cut by bound
   std::uint64_t sched_improvements = 0;    ///< B&B incumbent adoptions

@@ -166,6 +166,8 @@ FloorStats FloorSession::stats_snapshot() const {
   stats.sim_core_sweeps = snap.counter("floor.sim.core.sweeps");
   stats.sim_core_sweeps_skipped =
       snap.counter("floor.sim.core.sweeps_skipped");
+  stats.sim_kernel_evals = snap.counter("floor.sim.kernel.evals");
+  stats.sim_kernel_passes = snap.counter("floor.sim.kernel.passes");
   stats.sched_nodes_expanded = snap.counter("floor.sched.nodes_expanded");
   stats.sched_prunes = snap.counter("floor.sched.prunes");
   stats.sched_improvements = snap.counter("floor.sched.improvements");

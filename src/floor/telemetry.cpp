@@ -23,6 +23,8 @@ FloorMetricIds register_floor_metrics(obs::Registry& registry) {
   ids.sim_core_sweeps = registry.counter("floor.sim.core.sweeps");
   ids.sim_core_sweeps_skipped =
       registry.counter("floor.sim.core.sweeps_skipped");
+  ids.sim_kernel_evals = registry.counter("floor.sim.kernel.evals");
+  ids.sim_kernel_passes = registry.counter("floor.sim.kernel.passes");
   ids.sched_nodes = registry.counter("floor.sched.nodes_expanded");
   ids.sched_prunes = registry.counter("floor.sched.prunes");
   ids.sched_improvements = registry.counter("floor.sched.improvements");
@@ -89,6 +91,8 @@ std::string FloorStats::to_json() const {
      << ",\"sweep_cell_evals\":" << sim_sweep_cell_evals
      << ",\"core_sweeps\":" << sim_core_sweeps
      << ",\"core_sweeps_skipped\":" << sim_core_sweeps_skipped
+     << ",\"kernel_evals\":" << sim_kernel_evals
+     << ",\"kernel_passes\":" << sim_kernel_passes
      << "},\"sched\":{\"nodes_expanded\":" << sched_nodes_expanded
      << ",\"prunes\":" << sched_prunes
      << ",\"improvements\":" << sched_improvements

@@ -38,22 +38,34 @@ void FaultSim::set_dff_state(std::size_t i, Logic4 v) {
   good_valid_ = false;
 }
 
-void FaultSim::ensure_good() {
-  if (good_valid_) return;
+void FaultSim::set_input_index(std::size_t index, Logic64 v) {
+  sim_.set_input_index(index, v);
+  good_valid_ = false;
+}
+
+void FaultSim::set_dff_state(std::size_t i, Logic64 v) {
+  sim_.set_dff_state(i, v);
+  good_valid_ = false;
+}
+
+const std::vector<Logic64>& FaultSim::good_lanes() {
   sim_.clear_forces();
   sim_.eval();
+  good_words_.clear();
+  good_words_.reserve(obs_nets_.size());
+  for (const NetId n : obs_nets_) good_words_.push_back(sim_.net_value(n));
+  return good_words_;
+}
+
+void FaultSim::ensure_good() {
+  if (good_valid_) return;
   good_.clear();
   good_.reserve(obs_nets_.size());
-  for (const NetId n : obs_nets_) {
-    const Logic4 v = word_lane(sim_.net_value(n), 0);
+  for (const Logic64 w : good_lanes()) {
+    const Logic4 v = word_lane(w, 0);
     good_.push_back(v == Logic4::Zero ? 0 : v == Logic4::One ? 1 : -1);
   }
   good_valid_ = true;
-}
-
-const std::vector<int>& FaultSim::good_response() {
-  ensure_good();
-  return good_;
 }
 
 std::uint64_t FaultSim::detect_batch(const StuckAtFault* faults,

@@ -80,11 +80,16 @@ class FaultSim {
   void set_observation(bool outputs, bool dff_next_states);
 
   /// \name Per-pattern assignment
-  /// The assignment applies identically to all lanes; changing it
-  /// invalidates the cached good-machine response.
+  /// The Logic4 setters apply the assignment identically to all lanes —
+  /// what detect_batch() expects. The Logic64 setters assign lane by lane,
+  /// so good_lanes() evaluates up to kBatch different assignments in one
+  /// pass. Changing the assignment invalidates the cached good-machine
+  /// response.
   /// @{
   void set_input_index(std::size_t index, Logic4 v);
   void set_dff_state(std::size_t i, Logic4 v);
+  void set_input_index(std::size_t index, Logic64 v);
+  void set_dff_state(std::size_t i, Logic64 v);
   [[nodiscard]] std::size_t input_count() const noexcept {
     return design().inputs().size();
   }
@@ -106,15 +111,16 @@ class FaultSim {
   std::size_t detect_all(const std::vector<StuckAtFault>& faults,
                          std::vector<bool>& detected);
 
-  /// Good-machine response values at the observation points for the
-  /// current assignment: 0, 1, or -1 for X/Z.
-  [[nodiscard]] const std::vector<int>& good_response();
+  /// Good-machine values at the observation points, in response order,
+  /// every lane evaluated under its own assignment (no faults).
+  [[nodiscard]] const std::vector<Logic64>& good_lanes();
 
  private:
   void ensure_good();
 
   PackedGateSim sim_;
   std::vector<NetId> obs_nets_;     // observation points, in response order
+  std::vector<Logic64> good_words_; // good_lanes() result
   std::vector<int> good_;           // cached good response (-1 = undriven)
   bool good_valid_ = false;
   bool observe_outputs_ = true;

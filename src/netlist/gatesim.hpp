@@ -83,6 +83,10 @@ class GateSim {
   /// sets new inputs before it reads anything again saves tick()'s sweep.
   void capture();
 
+  /// True when a source changed since the last sweep, i.e. the next
+  /// eval() sweeps and the settled nets may be out of date.
+  [[nodiscard]] bool stale() const noexcept { return dirty_; }
+
   /// Convenience: eval() has already been called when reading outputs.
   [[nodiscard]] Logic4 output(const std::string& name) const;
   [[nodiscard]] Logic4 output_index(std::size_t index) const {

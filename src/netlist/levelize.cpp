@@ -38,23 +38,26 @@ void LevelizedNetlist::levelize() {
   // outputs, undriven nets) are ready from the start.
   const std::size_t n_nets = nl_.net_count();
   std::vector<int> pending_drivers(n_nets, 0);
-  std::vector<std::vector<CellId>>& readers = net_readers_;
-  readers.assign(n_nets, {});
-  net_comb_drivers_.assign(n_nets, {});
   std::vector<int> cell_missing(nl_.cell_count(), 0);
   std::vector<std::size_t>& cell_level = cell_level_;
   cell_level.assign(nl_.cell_count(), 0);
   std::vector<std::size_t> net_level(n_nets, 0);
 
-  for (CellId id = 0; id < nl_.cell_count(); ++id) {
-    const Cell& c = nl_.cell(id);
-    if (is_sequential(c.kind)) continue;  // DFF outputs are sources
-    ++pending_drivers[c.out];
-    net_comb_drivers_[c.out].push_back(id);
-    const int n_in = fanin(c.kind);
-    for (int i = 0; i < n_in; ++i)
-      readers[c.in[static_cast<std::size_t>(i)]].push_back(id);
-  }
+  // DFF outputs are sources: only combinational cells enter the graphs.
+  comb_drivers_ = Csr<CellId>::build(n_nets, [&](auto&& emit) {
+    for (CellId id = 0; id < nl_.cell_count(); ++id)
+      if (!is_sequential(nl_.cell(id).kind)) emit(nl_.cell(id).out, id);
+  });
+  readers_ = Csr<CellId>::build(n_nets, [&](auto&& emit) {
+    for (CellId id = 0; id < nl_.cell_count(); ++id) {
+      const Cell& c = nl_.cell(id);
+      if (is_sequential(c.kind)) continue;
+      for (int i = 0; i < fanin(c.kind); ++i)
+        emit(c.in[static_cast<std::size_t>(i)], id);
+    }
+  });
+  for (NetId n = 0; n < n_nets; ++n)
+    pending_drivers[n] = static_cast<int>(comb_drivers_[n].size());
   for (CellId id = 0; id < nl_.cell_count(); ++id) {
     const Cell& c = nl_.cell(id);
     if (is_sequential(c.kind)) continue;
@@ -86,7 +89,7 @@ void LevelizedNetlist::levelize() {
 
     net_level[c.out] = std::max(net_level[c.out], cell_level[id]);
     if (--pending_drivers[c.out] == 0) {
-      for (CellId r : readers[c.out])
+      for (const CellId r : readers_[c.out])
         if (--cell_missing[r] == 0) ready.push(r);
     }
   }

@@ -12,11 +12,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "util/csr.hpp"
 
 namespace casbus::netlist {
 
@@ -47,17 +49,17 @@ class LevelizedNetlist {
     return net_is_tri_[net];
   }
 
-  /// Combinational cells reading \p net (the fanout list). A cell reading
-  /// the same net on two pins appears twice; event-driven evaluation
-  /// dedups via its per-cell dirty flag.
-  [[nodiscard]] const std::vector<CellId>& readers(NetId net) const {
-    return net_readers_[net];
+  /// Combinational cells reading \p net (the fanout list), in cell order.
+  /// A cell reading the same net on two pins appears twice; event-driven
+  /// evaluation dedups via its per-cell dirty flag.
+  [[nodiscard]] std::span<const CellId> readers(NetId net) const {
+    return readers_[net];
   }
 
-  /// Combinational cells driving \p net, in comb_order() position. At most
-  /// one entry unless the net is tri-state (wired: several Tribufs).
-  [[nodiscard]] const std::vector<CellId>& comb_drivers(NetId net) const {
-    return net_comb_drivers_[net];
+  /// Combinational cells driving \p net, in cell order. At most one entry
+  /// unless the net is tri-state (wired: several Tribufs).
+  [[nodiscard]] std::span<const CellId> comb_drivers(NetId net) const {
+    return comb_drivers_[net];
   }
 
   /// Evaluation level of a combinational cell: 1 + max level of its input
@@ -84,8 +86,8 @@ class LevelizedNetlist {
   std::vector<CellId> comb_order_;
   std::vector<CellId> dff_cells_;
   std::vector<bool> net_is_tri_;
-  std::vector<std::vector<CellId>> net_readers_;
-  std::vector<std::vector<CellId>> net_comb_drivers_;
+  Csr<CellId> readers_;       // per net, its combinational reader cells
+  Csr<CellId> comb_drivers_;  // per net, its combinational driver cells
   std::vector<std::size_t> cell_level_;
   std::unordered_map<std::string, std::size_t> input_index_;
   std::unordered_map<std::string, std::size_t> output_index_;

@@ -147,7 +147,7 @@ void PackedGateSim::eval_full_sweep() {
 }
 
 Logic64 PackedGateSim::recompute_net(NetId net) const {
-  const auto& drivers = lev_->comb_drivers(net);
+  const std::span<const CellId> drivers = lev_->comb_drivers(net);
   Logic64 v;
   if (!lev_->net_is_tri(net) && !drivers.empty()) {
     // Single combinational driver (validate() forbids non-Tribuf sharing);

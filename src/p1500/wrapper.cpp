@@ -41,6 +41,17 @@ Wrapper::Wrapper(sim::Simulation& sim_ctx, std::string name,
                  "wrapper: WSC wires are mandatory");
   in_cells_.resize(func_.sys_in.size());
   out_cells_.resize(func_.sys_out.size());
+  // Every wire evaluate() reads; update_wr is read by tick() only.
+  watch(wsc_.select_wir);
+  watch(wsc_.shift_wr);
+  watch(wsc_.capture_wr);
+  watch(tam_.wsi);
+  watch(tam_.wpi);
+  watch(func_.sys_in);
+  watch(func_.core_out);
+  watch(core_.scan_out);
+  watch(core_.bist_done);
+  watch(core_.bist_pass);
 }
 
 bool Wrapper::selecting_wir() const { return hi(wsc_.select_wir); }
@@ -150,6 +161,9 @@ void Wrapper::tick() {
   const bool capturing = hi(wsc_.capture_wr);
   const bool updating = hi(wsc_.update_wr);
   const bool wsi = hi(tam_.wsi);
+  // Registers change only under a shift, capture or update strobe.
+  if (!shifting && !capturing && !updating) return;
+  wake();
 
   if (selecting_wir()) {
     // Hardware ordering: the update stage captures the shift stage's

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "sim/vcd.hpp"
@@ -33,8 +34,18 @@ std::string WireBundle::to_string() const {
 }
 
 Wire& Simulation::wire(std::string name, Logic4 init) {
-  wires_.emplace_back(Wire(&changes_, std::move(name), init));
+  wires_.emplace_back(Wire(&dirty_, std::move(name), init));
   return wires_.back();
+}
+
+void Module::watch(const Wire& w) {
+  DirtySet& set = *w.dirty_;
+  set.readers_.push_back(DirtySet::Reader{this, w.readers_});
+  w.readers_ = &set.readers_.back();
+}
+
+void Module::watch(const WireBundle& bundle) {
+  for (std::size_t i = 0; i < bundle.size(); ++i) watch(bundle[i]);
 }
 
 WireBundle Simulation::bundle(const std::string& base, std::size_t n,
@@ -47,26 +58,72 @@ WireBundle Simulation::bundle(const std::string& base, std::size_t n,
 
 void Simulation::add(Module* m) {
   CASBUS_REQUIRE(m != nullptr, "Simulation::add: null module");
+  CASBUS_REQUIRE(m->dirty_ == nullptr,
+                 "Simulation::add: module already registered: " + m->name());
+  m->dirty_ = &dirty_;
+  m->index_ = static_cast<std::uint32_t>(modules_.size());
   modules_.push_back(m);
+  dirty_.bits_.resize((modules_.size() + 63) / 64, 0);
+  m->wake();
 }
 
 void Simulation::reset() {
   cycle_ = 0;
-  for (Module* m : modules_) m->reset();
+  for (Module* m : modules_) {
+    m->reset();
+    m->wake();
+  }
 }
 
 void Simulation::settle() {
+  std::vector<std::uint64_t>& bits = dirty_.bits_;
   last_passes_ = 0;
-  for (std::size_t pass = 0; pass < max_delta_; ++pass) {
-    changes_ = 0;
-    for (Module* m : modules_) m->evaluate();
+  while (dirty_.pending_ != 0) {
+    if (last_passes_ == max_delta_) {
+      std::ostringstream os;
+      os << "combinational loop: simulation did not settle within "
+         << max_delta_ << " delta cycles at cycle " << cycle_;
+      throw SimulationError(os.str());
+    }
     ++last_passes_;
-    if (changes_ == 0) return;
+    ++stats_.passes;
+    // One pass: scheduled modules in registration order. A module that
+    // an evaluation schedules further down is taken in this pass (the
+    // scan has not reached it); one at or above the scan position waits
+    // for the next pass.
+    std::size_t word = 0;
+    std::uint64_t from = ~std::uint64_t{0};  // bits of `word` still ahead
+    while (dirty_.pending_ != 0 && word < bits.size()) {
+      const std::uint64_t ahead = bits[word] & from;
+      if (ahead == 0) {
+        ++word;
+        from = ~std::uint64_t{0};
+        continue;
+      }
+      const unsigned bit = static_cast<unsigned>(std::countr_zero(ahead));
+      bits[word] &= ~(std::uint64_t{1} << bit);
+      --dirty_.pending_;
+      from = bit == 63 ? 0 : ~std::uint64_t{0} << (bit + 1);
+      ++stats_.evals;
+      modules_[(word << 6) | bit]->evaluate();
+    }
   }
-  std::ostringstream os;
-  os << "combinational loop: simulation did not settle within " << max_delta_
-     << " delta cycles at cycle " << cycle_;
-  throw SimulationError(os.str());
+}
+
+std::size_t Simulation::evaluate_all() {
+  const std::vector<Logic4> before = snapshot();
+  for (Module* m : modules_) m->evaluate();
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < wires_.size(); ++i)
+    changed += wires_[i].get() != before[i] ? 1 : 0;
+  return changed;
+}
+
+std::vector<Logic4> Simulation::snapshot() const {
+  std::vector<Logic4> values;
+  values.reserve(wires_.size());
+  for (const Wire& w : wires_) values.push_back(w.get());
+  return values;
 }
 
 void Simulation::step(std::uint64_t n) {

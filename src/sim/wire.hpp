@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/module.hpp"
 #include "util/logic.hpp"
 
 namespace casbus::sim {
@@ -14,21 +15,25 @@ namespace casbus::sim {
 /// A single-bit combinational net.
 ///
 /// Wires are created and owned by a Simulation; models hold non-owning
-/// pointers/references. Writing a different value during combinational
-/// settlement marks the simulation "unsettled", which triggers another
-/// evaluation pass (delta cycle) — this is what lets combinational paths
-/// thread through an arbitrary number of chained CASes within one clock
-/// cycle, exactly like the physical test bus.
+/// pointers/references. Writing a different value schedules every module
+/// that watches the wire (Module::watch) for evaluation in the current or
+/// the next settle pass (delta cycle) — this is what lets combinational
+/// paths thread through an arbitrary number of chained CASes within one
+/// clock cycle, exactly like the physical test bus, while modules whose
+/// inputs did not change are not evaluated at all. So a wire has one
+/// driver: a module, which re-drives it only when evaluated, or the
+/// testbench between settles.
 class Wire {
  public:
   /// Current value of the net.
   [[nodiscard]] Logic4 get() const noexcept { return value_; }
 
-  /// Drives the net; records a delta event when the value changes.
+  /// Drives the net; a change schedules every watching module.
   void set(Logic4 v) noexcept {
     if (v == value_) return;
     value_ = v;
-    ++*changes_;
+    for (const DirtySet::Reader* r = readers_; r != nullptr; r = r->next)
+      r->module->wake();
   }
 
   /// Convenience for driven levels.
@@ -39,10 +44,14 @@ class Wire {
 
  private:
   friend class Simulation;
-  Wire(std::uint64_t* changes, std::string name, Logic4 init)
-      : changes_(changes), name_(std::move(name)), value_(init) {}
+  friend class Module;
+  Wire(DirtySet* dirty, std::string name, Logic4 init)
+      : dirty_(dirty), name_(std::move(name)), value_(init) {}
 
-  std::uint64_t* changes_;  // the owning Simulation's delta-event counter
+  DirtySet* dirty_;  // the owning Simulation's scheduler (reader storage)
+  // Modules watching this wire: scheduling bookkeeping, not net state, so
+  // a module may watch a wire it only reads through a const reference.
+  mutable const DirtySet::Reader* readers_ = nullptr;
   std::string name_;
   Logic4 value_;
 };

@@ -66,6 +66,7 @@ void BistCore::evaluate() {
 
 void BistCore::tick() {
   if (term_.core_clk_en->get() != Logic4::One) return;
+  wake();  // evaluate() shows done_ and pass_
 
   const bool start = term_.bist_start->get() == Logic4::One;
   if (start && !start_seen_ && !running_) {

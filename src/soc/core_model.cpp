@@ -48,6 +48,9 @@ NetlistCore::NetlistCore(sim::Simulation& sim_ctx, std::string name,
     term_.scan_out.push_back(wire(".so", c));
     term_.chain_lengths.push_back(core_.chains[c].size());
   }
+  watch(term_.func_in);
+  watch(term_.scan_en);
+  watch(term_.scan_in);  // clk_en is read by tick() only
   sim_.reset();
 }
 
@@ -70,7 +73,10 @@ void NetlistCore::evaluate() {
 
 void NetlistCore::tick() {
   if (term_.core_clk_en->get() != Logic4::One) return;  // gated clock
-  sim_.tick();
+  // Capture only: the next evaluate() sweeps once, on the new state and
+  // the next cycle's inputs together.
+  sim_.capture();
+  if (sim_.stale()) wake();
 }
 
 void NetlistCore::reset() { sim_.reset(); }

@@ -66,7 +66,9 @@ struct SynthPorts {
 /// Gate-level core: a tpg::SyntheticCore simulated cycle-accurately through
 /// its own GateSim, with mux-D scan chains and a gated clock. This is the
 /// model behind scannable cores (paper Fig. 2a) and externally-tested cores
-/// (Fig. 2c — same core, different pattern source).
+/// (Fig. 2c — same core, different pattern source). tick() only captures
+/// the flip-flops and wakes the model when their state changed, so each
+/// cycle costs at most one gate-level sweep, run by evaluate().
 class NetlistCore : public CoreModel {
  public:
   /// Creates terminal wires inside \p sim_ctx (named `<name>.<port>`)
@@ -84,8 +86,16 @@ class NetlistCore : public CoreModel {
   }
 
   /// Embedded simulator — exposed for fault injection in experiments
-  /// (tpg faults map 1:1 onto this netlist's nets).
-  [[nodiscard]] netlist::GateSim& gatesim() noexcept { return sim_; }
+  /// (tpg faults map 1:1 onto this netlist's nets). The mutable accessor
+  /// wakes the model, so a force set through it reaches the output wires
+  /// at the next settle.
+  [[nodiscard]] netlist::GateSim& gatesim() noexcept {
+    wake();
+    return sim_;
+  }
+  [[nodiscard]] const netlist::GateSim& gatesim() const noexcept {
+    return sim_;
+  }
 
   [[nodiscard]] netlist::GateSim::SweepStats sweep_stats()
       const noexcept override {

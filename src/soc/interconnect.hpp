@@ -39,7 +39,9 @@ class Interconnect : public sim::Module {
       : sim::Module(std::move(name)),
         wires_(std::move(wires)),
         meta_(std::move(meta)),
-        stuck_(wires_.size(), -1) {}
+        stuck_(wires_.size(), -1) {
+    for (const auto& link : wires_) watch(link.first);
+  }
 
   void evaluate() override {
     for (std::size_t i = 0; i < wires_.size(); ++i) {
@@ -54,8 +56,12 @@ class Interconnect : public sim::Module {
   /// destination no longer follows the source).
   void inject_stuck(std::size_t index, bool one) {
     stuck_.at(index) = one ? 1 : 0;
+    wake();
   }
-  void clear_faults() { std::fill(stuck_.begin(), stuck_.end(), -1); }
+  void clear_faults() {
+    std::fill(stuck_.begin(), stuck_.end(), -1);
+    wake();
+  }
 
   [[nodiscard]] const std::vector<Connection>& connections() const {
     return meta_;

@@ -131,6 +131,8 @@ void MemoryCore::mbist_step() {
 
 void MemoryCore::tick() {
   if (term_.core_clk_en->get() != Logic4::One) return;
+  // evaluate() shows rdata_reg_, done_ and pass_.
+  wake();
 
   const bool start = hi(term_.bist_start);
   if (start && !start_seen_ && !running_) {

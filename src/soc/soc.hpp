@@ -36,6 +36,7 @@ class WireBridge : public sim::Module {
       : sim::Module(std::move(name)), src_(std::move(src)),
         dst_(std::move(dst)) {
     CASBUS_REQUIRE(src_.size() == dst_.size(), "WireBridge size mismatch");
+    watch(src_);
   }
   void evaluate() override {
     for (std::size_t i = 0; i < src_.size(); ++i)
@@ -79,6 +80,9 @@ struct HierarchicalBody {
 class Soc {
  public:
   [[nodiscard]] sim::Simulation& simulation() noexcept { return sim_; }
+  [[nodiscard]] const sim::Simulation& simulation() const noexcept {
+    return sim_;
+  }
   [[nodiscard]] tam::CasBusChain& bus() noexcept { return *bus_; }
   [[nodiscard]] const tam::CasBusChain& bus() const noexcept {
     return *bus_;

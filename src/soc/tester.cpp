@@ -22,7 +22,7 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   if (it == golden_.end()) {
     // The golden model shares the core model's levelization: same netlist,
     // levelized once per core.
-    NetlistCore& model = core_at(ref).as_scan();
+    const NetlistCore& model = core_at(ref).as_scan();
     const tpg::SyntheticCore& sc = model.synth();
     auto fsim = std::make_unique<tpg::FaultSimulator>(
         model.gatesim().levelized(), options_.sim_mode);
@@ -36,23 +36,36 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   return *it->second;
 }
 
-const BitVector& SocTester::expected_response(const CoreRef& ref,
-                                              const BitVector& pattern) {
-  // find-then-emplace so the concurrent precompute path (which pre-creates
-  // every per-core entry serially) never mutates the outer map.
-  memo_lookups_.fetch_add(1, std::memory_order_relaxed);
-  auto mit = golden_cache_.find(ref);
-  if (mit == golden_cache_.end())
-    mit = golden_cache_.emplace(ref, decltype(mit->second){}).first;
-  std::unordered_map<std::string, BitVector>& cache = mit->second;
-  const std::string key = pattern.to_string();
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, golden_for(ref).good_response(pattern)).first;
-  } else {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
+std::vector<const BitVector*> SocTester::expected_responses(
+    const CoreRef& ref, const tpg::PatternSet& patterns) {
+  // Only find() on the outer maps: the concurrent precompute path creates
+  // every per-core entry serially beforehand.
+  std::unordered_map<std::string, BitVector>& cache =
+      golden_cache_.find(ref)->second;
+  std::vector<const BitVector*> out(patterns.size());
+  std::vector<const BitVector*> misses;
+  std::vector<BitVector*> slots;  // memo entries the misses fill
+  for (std::size_t r = 0; r < patterns.size(); ++r) {
+    const BitVector& pattern = patterns.at(r);
+    // A miss reserves its entry at once, so a repeat of the pattern later
+    // in the set is a hit, as it would be one pattern at a time.
+    const auto [it, miss] = cache.try_emplace(pattern.to_string());
+    if (miss) {
+      misses.push_back(&pattern);
+      slots.push_back(&it->second);
+    }
+    out[r] = &it->second;
   }
-  return it->second;
+  memo_lookups_.fetch_add(patterns.size(), std::memory_order_relaxed);
+  memo_hits_.fetch_add(patterns.size() - misses.size(),
+                       std::memory_order_relaxed);
+  if (!misses.empty()) {
+    std::vector<BitVector> fresh =
+        golden_.find(ref)->second->good_responses(misses);
+    for (std::size_t i = 0; i < slots.size(); ++i)
+      *slots[i] = std::move(fresh[i]);
+  }
+  return out;
 }
 
 netlist::SimStats SocTester::sim_stats() const {
@@ -352,13 +365,9 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
     for (auto& [core, ts] : targets_of_core) shards.push_back(ts);
 
     const auto run_shard = [&](const std::vector<std::size_t>& ts) {
-      for (const std::size_t t : ts) {
-        const ScanTarget& target = session.targets[t];
-        expected_all[t].resize(target.patterns.size());
-        for (std::size_t r = 0; r < target.patterns.size(); ++r)
-          expected_all[t][r] =
-              &expected_response(target.core, target.patterns.at(r));
-      }
+      for (const std::size_t t : ts)
+        expected_all[t] = expected_responses(session.targets[t].core,
+                                             session.targets[t].patterns);
     };
 
     std::size_t workers = options_.sim_threads;

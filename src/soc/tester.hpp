@@ -243,6 +243,12 @@ class SocTester {
   /// built — BIST golden-signature runs at construction count too.
   [[nodiscard]] netlist::GateSim::SweepStats core_sweep_stats() const;
 
+  /// Behavioural-kernel work of the SoC's simulation since it was built
+  /// (sim::Simulation::kernel_stats: module evaluations, settle passes).
+  [[nodiscard]] const sim::Simulation::KernelStats& kernel_stats() const {
+    return soc_.simulation().kernel_stats();
+  }
+
  private:
   struct Segment {  // one (target, chain) occupancy of a wire
     std::size_t target_index;
@@ -263,11 +269,13 @@ class SocTester {
   /// Golden-model simulator of \p ref, created (and pinned) on first use.
   [[nodiscard]] tpg::FaultSimulator& golden_for(const CoreRef& ref);
 
-  /// Good-machine response of \p ref to \p pattern, memoised across the
-  /// tester's lifetime — i.e. across every session of one job — because
-  /// the good machine is read-only.
-  [[nodiscard]] const BitVector& expected_response(const CoreRef& ref,
-                                                   const BitVector& pattern);
+  /// Good-machine responses of \p ref to \p patterns, in order, memoised
+  /// across the tester's lifetime — i.e. across every session of one job
+  /// — because the good machine is read-only. Each pattern is one memo
+  /// lookup; the misses are evaluated together, 64 per packed pass.
+  /// Requires golden_for(ref) and the memo entry of \p ref to exist.
+  [[nodiscard]] std::vector<const BitVector*> expected_responses(
+      const CoreRef& ref, const tpg::PatternSet& patterns);
 
   Soc& soc_;
   TesterOptions options_;

@@ -46,6 +46,7 @@ void MemoryTraffic::tick() {
 
   // 2. Issue the next operation. While a read is in flight the port idles
   //    so the response cannot be disturbed by a same-address write.
+  if (op_valid_ || enabled_) wake();  // evaluate() drives the operation
   op_valid_ = enabled_;
   op_we_ = false;
   if (!enabled_ || pending_stage_ != 0) return;

@@ -18,8 +18,8 @@ FaultSimulator::FaultSimulator(Netlist nl)
 FaultSimulator::FaultSimulator(
     std::shared_ptr<const netlist::LevelizedNetlist> lev,
     netlist::EvalMode mode)
-    : sim_(lev), packed_(std::move(lev), mode) {
-  for (std::size_t i = 0; i < sim_.design().inputs().size(); ++i)
+    : packed_(std::move(lev), mode) {
+  for (std::size_t i = 0; i < nl().inputs().size(); ++i)
     free_inputs_.push_back(i);
 }
 
@@ -63,18 +63,20 @@ std::vector<int> FaultSimulator::simulate(const BitVector& pattern,
                                           const Fault* fault) {
   CASBUS_REQUIRE(pattern.size() == pattern_width(),
                  "FaultSimulator: pattern width mismatch");
-  sim_.clear_forces();
+  if (!scalar_.has_value()) scalar_.emplace(packed_.levelized());
+  netlist::GateSim& sim = *scalar_;
+  sim.clear_forces();
   if (fault != nullptr)
-    sim_.set_force(fault->net, to_logic(fault->stuck_one));
+    sim.set_force(fault->net, to_logic(fault->stuck_one));
 
   for (const auto& [idx, val] : pinned_)
-    sim_.set_input_index(idx, to_logic(val));
+    sim.set_input_index(idx, to_logic(val));
   for (std::size_t i = 0; i < free_inputs_.size(); ++i)
-    sim_.set_input_index(free_inputs_[i], to_logic(pattern.get(i)));
+    sim.set_input_index(free_inputs_[i], to_logic(pattern.get(i)));
   for (std::size_t i = 0; i < dffs().size(); ++i)
-    sim_.set_dff_state(i, to_logic(pattern.get(free_inputs_.size() + i)));
+    sim.set_dff_state(i, to_logic(pattern.get(free_inputs_.size() + i)));
 
-  sim_.eval();
+  sim.eval();
 
   std::vector<int> response;
   response.reserve(response_width());
@@ -82,21 +84,53 @@ std::vector<int> FaultSimulator::simulate(const BitVector& pattern,
     response.push_back(v == Logic4::Zero ? 0 : v == Logic4::One ? 1 : -1);
   };
   for (std::size_t i = 0; i < nl().outputs().size(); ++i)
-    push(sim_.output_index(i));
+    push(sim.output_index(i));
   // Flip-flop next-states: the D pin values after settling.
-  for (const CellId id : dffs()) push(sim_.net_value(nl().cell(id).in[0]));
+  for (const CellId id : dffs()) push(sim.net_value(nl().cell(id).in[0]));
   return response;
 }
 
 BitVector FaultSimulator::good_response(const BitVector& pattern) {
+  const BitVector* const one[] = {&pattern};
+  return std::move(good_responses(one).front());
+}
+
+std::vector<BitVector> FaultSimulator::good_responses(
+    std::span<const BitVector* const> patterns) {
   // Packed path: the engine's observation order (primary outputs, then
-  // DFF D pins) matches simulate()'s response layout bit for bit, and the
-  // event-driven mode makes runs of similar patterns cheap. The scalar
-  // path survives in run_serial() as the equivalence reference.
-  apply_pattern(pattern);
-  const std::vector<int>& r = packed_.good_response();
-  BitVector out(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) out.set(i, r[i] == 1);
+  // DFF D pins) matches simulate()'s response layout bit for bit. The
+  // scalar path survives in run_serial() as the equivalence reference.
+  constexpr std::size_t kLanes = netlist::FaultSim::kBatch;
+  std::vector<BitVector> out;
+  out.reserve(patterns.size());
+  for (std::size_t base = 0; base < patterns.size(); base += kLanes) {
+    const std::span<const BitVector* const> batch =
+        patterns.subspan(base, std::min(kLanes, patterns.size() - base));
+    for (const BitVector* p : batch)
+      CASBUS_REQUIRE(p->size() == pattern_width(),
+                     "FaultSimulator: pattern width mismatch");
+    // Pattern k of the batch drives lane k; idle lanes read all zeros.
+    const auto lanes_of = [&](std::size_t bit) {
+      std::uint64_t ones = 0;
+      for (std::size_t k = 0; k < batch.size(); ++k)
+        ones |= static_cast<std::uint64_t>(batch[k]->get(bit)) << k;
+      return word_from_masks(~ones, ones);
+    };
+    for (const auto& [idx, val] : pinned_)
+      packed_.set_input_index(idx, to_logic(val));
+    for (std::size_t i = 0; i < free_inputs_.size(); ++i)
+      packed_.set_input_index(free_inputs_[i], lanes_of(i));
+    for (std::size_t i = 0; i < dffs().size(); ++i)
+      packed_.set_dff_state(i, lanes_of(free_inputs_.size() + i));
+
+    const std::vector<Logic64>& words = packed_.good_lanes();
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      BitVector r(words.size());
+      for (std::size_t i = 0; i < words.size(); ++i)
+        r.set(i, ((word_is1(words[i]) >> k) & 1u) != 0);
+      out.push_back(std::move(r));
+    }
+  }
   return out;
 }
 
@@ -139,7 +173,7 @@ FaultSimReport FaultSimulator::run(const PatternSet& patterns,
     load_pattern(engine, patterns.at(p));
   };
   const netlist::FaultCampaignReport campaign = netlist::run_fault_campaign(
-      sim_.levelized(), faults, patterns.size(), loader, opts);
+      packed_.levelized(), faults, patterns.size(), loader, opts);
 
   FaultSimReport report;
   report.total_faults = faults.size();

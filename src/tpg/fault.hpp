@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +64,8 @@ struct FaultSimReport {
 class FaultSimulator {
  public:
   /// Takes its own copy of the design (move in to avoid the copy); the
-  /// design is levelized once and shared by the scalar and packed engines.
+  /// design is levelized once and shared by the packed engine and, when
+  /// simulate()/run_serial() first needs it, the scalar one.
   explicit FaultSimulator(netlist::Netlist nl);
 
   /// Shares an existing levelization (a campaign over one design needs a
@@ -96,6 +99,12 @@ class FaultSimulator {
   /// Fault-free response to \p pattern.
   [[nodiscard]] BitVector good_response(const BitVector& pattern);
 
+  /// Fault-free responses to \p patterns, in order. Patterns are evaluated
+  /// 64 per packed pass, one per lane, so a batch costs about one pass per
+  /// 64 patterns.
+  [[nodiscard]] std::vector<BitVector> good_responses(
+      std::span<const BitVector* const> patterns);
+
   /// True when \p pattern definitely detects \p fault (good and faulty
   /// responses are both driven and differ in at least one bit).
   [[nodiscard]] bool detects(const BitVector& pattern, const Fault& fault);
@@ -121,8 +130,8 @@ class FaultSimulator {
                      const std::vector<Fault>& faults, std::size_t threads);
 
   /// Reference implementation: one faulty machine at a time through the
-  /// scalar GateSim. Same report as run(); ~100x slower. Kept for the
-  /// equivalence tests and as the benchmark baseline.
+  /// scalar GateSim (built on first use). Same report as run(); ~100x
+  /// slower. Kept for the equivalence tests and as the benchmark baseline.
   FaultSimReport run_serial(const PatternSet& patterns,
                             const std::vector<Fault>& faults);
 
@@ -140,16 +149,18 @@ class FaultSimulator {
   std::vector<int> simulate(const BitVector& pattern,
                             const Fault* fault);
 
-  /// The simulated design (owned by the embedded simulator).
-  [[nodiscard]] const netlist::Netlist& nl() const { return sim_.design(); }
+  /// The simulated design (owned by the shared levelization).
+  [[nodiscard]] const netlist::Netlist& nl() const {
+    return packed_.design();
+  }
 
   /// Sequential cells, in the shared levelization's canonical order.
   [[nodiscard]] const std::vector<netlist::CellId>& dffs() const {
-    return sim_.levelized()->dff_cells();
+    return packed_.levelized()->dff_cells();
   }
 
-  netlist::GateSim sim_;        // scalar reference engine
   netlist::FaultSim packed_;    // 64-wide campaign engine (shared netlist)
+  std::optional<netlist::GateSim> scalar_;  // reference engine, on demand
   std::vector<std::size_t> free_inputs_;  // indices into nl.inputs()
   std::vector<std::pair<std::size_t, bool>> pinned_;
 };

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <unordered_map>
+
+#include "util/csr.hpp"
 
 namespace casbus::verify {
 
@@ -20,6 +23,29 @@ using netlist::RawNetlist;
 
 namespace {
 
+/// What the rules read of a design: views of a RawNetlist's or a validated
+/// Netlist's arrays, so linting a Netlist copies nothing.
+struct Design {
+  std::size_t n_nets = 0;
+  std::span<const Cell> cells;
+  std::span<const Port> inputs;
+  std::span<const Port> outputs;
+  std::span<const std::pair<NetId, std::string>> net_names;
+
+  explicit Design(const RawNetlist& raw)
+      : n_nets(raw.n_nets),
+        cells(raw.cells),
+        inputs(raw.inputs),
+        outputs(raw.outputs),
+        net_names(raw.net_names) {}
+  explicit Design(const Netlist& nl)
+      : n_nets(nl.net_count()),
+        cells(nl.cells()),
+        inputs(nl.inputs()),
+        outputs(nl.outputs()),
+        net_names(nl.net_names()) {}
+};
+
 /// Per-design working set shared by the rule passes: driver/reader tables
 /// over the well-formed subset of cells (malformed cells are reported by
 /// NL000 and excluded so later passes never index out of range).
@@ -28,10 +54,10 @@ struct Tables {
   std::vector<int> plain_drivers;       ///< per net, non-tristate
   std::vector<int> tri_drivers;         ///< per net, tristuf
   std::vector<std::size_t> reader_pins; ///< per net, cell pins + out ports
-  std::vector<std::vector<CellId>> drivers;  ///< cells driving each net
+  Csr<CellId> drivers;                  ///< cells driving each net
 };
 
-std::string net_label(const RawNetlist& raw, NetId net) {
+std::string net_label(const Design& raw, NetId net) {
   for (const auto& [id, name] : raw.net_names)
     if (id == net) return name;
   std::ostringstream os;
@@ -39,14 +65,13 @@ std::string net_label(const RawNetlist& raw, NetId net) {
   return os.str();
 }
 
-Tables build_tables(const RawNetlist& raw, LintReport& report) {
+Tables build_tables(const Design& raw, LintReport& report) {
   Tables t;
   const std::size_t n = raw.n_nets;
   t.cell_ok.assign(raw.cells.size(), true);
   t.plain_drivers.assign(n, 0);
   t.tri_drivers.assign(n, 0);
   t.reader_pins.assign(n, 0);
-  t.drivers.assign(n, {});
 
   for (CellId id = 0; id < raw.cells.size(); ++id) {
     const Cell& c = raw.cells[id];
@@ -71,7 +96,6 @@ Tables build_tables(const RawNetlist& raw, LintReport& report) {
         ++t.tri_drivers[c.out];
       else
         ++t.plain_drivers[c.out];
-      t.drivers[c.out].push_back(id);
     }
     for (int i = 0; i < n_in; ++i) {
       const NetId in = c.in[static_cast<std::size_t>(i)];
@@ -96,10 +120,14 @@ Tables build_tables(const RawNetlist& raw, LintReport& report) {
     }
     ++t.reader_pins[raw.outputs[p].net];
   }
+  t.drivers = Csr<CellId>::build(n, [&](auto&& emit) {
+    for (CellId id = 0; id < raw.cells.size(); ++id)
+      if (raw.cells[id].out < n) emit(raw.cells[id].out, id);
+  });
   return t;
 }
 
-void lint_drivers(const RawNetlist& raw, const Tables& t,
+void lint_drivers(const Design& raw, const Tables& t,
                   LintReport& report) {
   for (NetId net = 0; net < raw.n_nets; ++net) {
     const int plain = t.plain_drivers[net];
@@ -138,7 +166,7 @@ void lint_drivers(const RawNetlist& raw, const Tables& t,
   }
 }
 
-void lint_fanout(const RawNetlist& raw, const Tables& t,
+void lint_fanout(const Design& raw, const Tables& t,
                  const NetlistLintConfig& config, LintReport& report) {
   if (config.fanout_ceiling == 0) return;
   for (NetId net = 0; net < raw.n_nets; ++net) {
@@ -154,10 +182,9 @@ void lint_fanout(const RawNetlist& raw, const Tables& t,
 
 /// Kahn's algorithm over the well-formed combinational cells; returns the
 /// set of cells left unplaced (non-empty exactly when a cycle exists).
-std::vector<bool> unplaced_comb_cells(const RawNetlist& raw,
+std::vector<bool> unplaced_comb_cells(const Design& raw,
                                       const Tables& t) {
   std::vector<int> pending(raw.n_nets, 0);
-  std::vector<std::vector<CellId>> readers(raw.n_nets);
   std::vector<int> missing(raw.cells.size(), 0);
   std::vector<bool> comb(raw.cells.size(), false);
 
@@ -166,10 +193,16 @@ std::vector<bool> unplaced_comb_cells(const RawNetlist& raw,
     if (!t.cell_ok[id] || is_sequential(c.kind)) continue;
     comb[id] = true;
     ++pending[c.out];
-    const int n_in = fanin(c.kind);
-    for (int i = 0; i < n_in; ++i)
-      readers[c.in[static_cast<std::size_t>(i)]].push_back(id);
   }
+  const Csr<CellId> readers =
+      Csr<CellId>::build(raw.n_nets, [&](auto&& emit) {
+        for (CellId id = 0; id < raw.cells.size(); ++id) {
+          if (!comb[id]) continue;
+          const Cell& c = raw.cells[id];
+          for (int i = 0; i < fanin(c.kind); ++i)
+            emit(c.in[static_cast<std::size_t>(i)], id);
+        }
+      });
   for (CellId id = 0; id < raw.cells.size(); ++id) {
     if (!comb[id]) continue;
     const Cell& c = raw.cells[id];
@@ -199,161 +232,8 @@ std::vector<bool> unplaced_comb_cells(const RawNetlist& raw,
   return unplaced;
 }
 
-void lint_cycles(const RawNetlist& raw, const Tables& t,
-                 LintReport& report) {
-  const std::vector<CellId> cycle = find_comb_cycle(raw);
-  if (cycle.empty()) return;
-  std::ostringstream os;
-  os << "combinational cycle of " << cycle.size() << " cells: ";
-  for (std::size_t i = 0; i < cycle.size(); ++i) {
-    const Cell& c = raw.cells[cycle[i]];
-    os << net_label(raw, c.out) << '(' << netlist::kind_name(c.kind) << ')'
-       << " -> ";
-  }
-  os << net_label(raw, raw.cells[cycle.front()].out);
-  (void)t;
-  report.add(RuleId::CombCycle, cycle.front(), os.str());
-}
-
-void lint_unreachable(const RawNetlist& raw, const Tables& t,
-                      LintReport& report) {
-  // Backward liveness from the primary outputs: a cell is reachable when
-  // its output net transitively feeds an output port.
-  std::vector<bool> net_live(raw.n_nets, false);
-  std::vector<bool> cell_live(raw.cells.size(), false);
-  std::queue<NetId> work;
-  for (const Port& p : raw.outputs) {
-    if (p.net < raw.n_nets && !net_live[p.net]) {
-      net_live[p.net] = true;
-      work.push(p.net);
-    }
-  }
-  while (!work.empty()) {
-    const NetId net = work.front();
-    work.pop();
-    for (const CellId id : t.drivers[net]) {
-      if (cell_live[id]) continue;
-      cell_live[id] = true;
-      const Cell& c = raw.cells[id];
-      const int n_in = fanin(c.kind);
-      for (int i = 0; i < n_in; ++i) {
-        const NetId in = c.in[static_cast<std::size_t>(i)];
-        if (in >= raw.n_nets) continue;  // malformed cell, reported as NL000
-        if (!net_live[in]) {
-          net_live[in] = true;
-          work.push(in);
-        }
-      }
-    }
-  }
-  for (CellId id = 0; id < raw.cells.size(); ++id) {
-    if (!t.cell_ok[id] || cell_live[id]) continue;
-    const Cell& c = raw.cells[id];
-    std::ostringstream os;
-    os << netlist::kind_name(c.kind) << " cell " << id << " driving "
-       << net_label(raw, c.out) << " reaches no primary output";
-    report.add(RuleId::GateUnreachable, id, os.str());
-  }
-}
-
-void lint_scan_chains(const RawNetlist& raw, const Tables& t,
-                      const NetlistLintConfig& config, LintReport& report) {
-  if (config.scan_chains.empty()) return;
-
-  std::unordered_map<std::string, NetId> in_ports, out_ports;
-  for (const Port& p : raw.inputs)
-    if (p.net < raw.n_nets) in_ports.emplace(p.name, p.net);
-  for (const Port& p : raw.outputs)
-    if (p.net < raw.n_nets) out_ports.emplace(p.name, p.net);
-
-  // Scan successor tables: a chain stage is a sequential cell whose D pin
-  // reads the current net either directly or through the scan side (pin b)
-  // of a mux-D scan mux.
-  std::vector<std::vector<CellId>> seq_d_readers(raw.n_nets);
-  std::vector<std::vector<CellId>> mux_b_readers(raw.n_nets);
-  for (CellId id = 0; id < raw.cells.size(); ++id) {
-    const Cell& c = raw.cells[id];
-    if (is_sequential(c.kind) && c.in[0] < raw.n_nets && c.out < raw.n_nets)
-      seq_d_readers[c.in[0]].push_back(id);
-    if (c.kind == CellKind::Mux2 && c.in[1] < raw.n_nets &&
-        c.out < raw.n_nets)
-      mux_b_readers[c.in[1]].push_back(id);
-  }
-
-  std::vector<bool> visited(raw.cells.size(), false);
-  for (std::size_t ci = 0; ci < config.scan_chains.size(); ++ci) {
-    const ScanChainSpec& chain = config.scan_chains[ci];
-    const auto si = in_ports.find(chain.scan_in);
-    const auto so = out_ports.find(chain.scan_out);
-    if (si == in_ports.end() || so == out_ports.end()) {
-      report.add(RuleId::ScanChainBroken, ci,
-                 "chain " + std::to_string(ci) + " ports '" + chain.scan_in +
-                     "'/'" + chain.scan_out + "' missing from the design");
-      continue;
-    }
-    NetId cur = si->second;
-    bool broken = false;
-    for (std::size_t step = 0; step < chain.length; ++step) {
-      // Candidate next stages from the current net.
-      std::vector<CellId> next = seq_d_readers[cur];
-      for (const CellId m : mux_b_readers[cur])
-        for (const CellId d : seq_d_readers[raw.cells[m].out])
-          next.push_back(d);
-      if (next.size() != 1) {
-        std::ostringstream os;
-        os << "chain " << ci << " ('" << chain.scan_in << "') "
-           << (next.empty() ? "breaks" : "forks") << " after " << step
-           << " of " << chain.length << " flip-flops at net "
-           << net_label(raw, cur);
-        report.add(RuleId::ScanChainBroken, ci, os.str());
-        broken = true;
-        break;
-      }
-      visited[next.front()] = true;
-      cur = raw.cells[next.front()].out;
-    }
-    if (!broken && cur != so->second) {
-      std::ostringstream os;
-      os << "chain " << ci << " ends on net " << net_label(raw, cur)
-         << " but port '" << chain.scan_out << "' reads "
-         << net_label(raw, so->second)
-         << " (length mismatch or mis-stitched tail)";
-      report.add(RuleId::ScanChainBroken, ci, os.str());
-    }
-  }
-
-  std::size_t orphans = 0;
-  for (CellId id = 0; id < raw.cells.size(); ++id)
-    if (t.cell_ok[id] && is_sequential(raw.cells[id].kind) && !visited[id])
-      ++orphans;
-  if (orphans > 0) {
-    std::ostringstream os;
-    os << orphans << " scan flip-flop(s) unreachable from any scan-in";
-    report.add(RuleId::ScanChainBroken, kNoObject, os.str());
-  }
-}
-
-}  // namespace
-
-LintReport lint_netlist(const RawNetlist& raw,
-                        const NetlistLintConfig& config) {
-  LintReport report;
-  const Tables t = build_tables(raw, report);
-  lint_drivers(raw, t, report);
-  lint_cycles(raw, t, report);
-  if (config.check_unreachable) lint_unreachable(raw, t, report);
-  lint_fanout(raw, t, config, report);
-  lint_scan_chains(raw, t, config, report);
-  return report;
-}
-
-LintReport lint_netlist(const Netlist& nl, const NetlistLintConfig& config) {
-  return lint_netlist(nl.to_raw(), config);
-}
-
-std::vector<CellId> find_comb_cycle(const RawNetlist& raw) {
-  LintReport scratch;
-  const Tables t = build_tables(raw, scratch);
+/// find_comb_cycle over tables already built for \p raw.
+std::vector<CellId> comb_cycle(const Design& raw, const Tables& t) {
   const std::vector<bool> unplaced = unplaced_comb_cells(raw, t);
 
   // Every unplaced cell sits on or downstream of a cycle, and each of its
@@ -397,8 +277,182 @@ std::vector<CellId> find_comb_cycle(const RawNetlist& raw) {
   return cycle;
 }
 
+void lint_cycles(const Design& raw, const Tables& t,
+                 LintReport& report) {
+  const std::vector<CellId> cycle = comb_cycle(raw, t);
+  if (cycle.empty()) return;
+  std::ostringstream os;
+  os << "combinational cycle of " << cycle.size() << " cells: ";
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    const Cell& c = raw.cells[cycle[i]];
+    os << net_label(raw, c.out) << '(' << netlist::kind_name(c.kind) << ')'
+       << " -> ";
+  }
+  os << net_label(raw, raw.cells[cycle.front()].out);
+  report.add(RuleId::CombCycle, cycle.front(), os.str());
+}
+
+void lint_unreachable(const Design& raw, const Tables& t,
+                      LintReport& report) {
+  // Backward liveness from the primary outputs: a cell is reachable when
+  // its output net transitively feeds an output port.
+  std::vector<bool> net_live(raw.n_nets, false);
+  std::vector<bool> cell_live(raw.cells.size(), false);
+  std::queue<NetId> work;
+  for (const Port& p : raw.outputs) {
+    if (p.net < raw.n_nets && !net_live[p.net]) {
+      net_live[p.net] = true;
+      work.push(p.net);
+    }
+  }
+  while (!work.empty()) {
+    const NetId net = work.front();
+    work.pop();
+    for (const CellId id : t.drivers[net]) {
+      if (cell_live[id]) continue;
+      cell_live[id] = true;
+      const Cell& c = raw.cells[id];
+      const int n_in = fanin(c.kind);
+      for (int i = 0; i < n_in; ++i) {
+        const NetId in = c.in[static_cast<std::size_t>(i)];
+        if (in >= raw.n_nets) continue;  // malformed cell, reported as NL000
+        if (!net_live[in]) {
+          net_live[in] = true;
+          work.push(in);
+        }
+      }
+    }
+  }
+  for (CellId id = 0; id < raw.cells.size(); ++id) {
+    if (!t.cell_ok[id] || cell_live[id]) continue;
+    const Cell& c = raw.cells[id];
+    std::ostringstream os;
+    os << netlist::kind_name(c.kind) << " cell " << id << " driving "
+       << net_label(raw, c.out) << " reaches no primary output";
+    report.add(RuleId::GateUnreachable, id, os.str());
+  }
+}
+
+void lint_scan_chains(const Design& raw, const Tables& t,
+                      const NetlistLintConfig& config, LintReport& report) {
+  if (config.scan_chains.empty()) return;
+
+  std::unordered_map<std::string, NetId> in_ports, out_ports;
+  for (const Port& p : raw.inputs)
+    if (p.net < raw.n_nets) in_ports.emplace(p.name, p.net);
+  for (const Port& p : raw.outputs)
+    if (p.net < raw.n_nets) out_ports.emplace(p.name, p.net);
+
+  // Scan successor tables: a chain stage is a sequential cell whose D pin
+  // reads the current net either directly or through the scan side (pin b)
+  // of a mux-D scan mux.
+  const auto cells_reading = [&](auto pin_of) {
+    return Csr<CellId>::build(raw.n_nets, [&](auto&& emit) {
+      for (CellId id = 0; id < raw.cells.size(); ++id) {
+        const NetId net = pin_of(raw.cells[id]);
+        if (net < raw.n_nets && raw.cells[id].out < raw.n_nets)
+          emit(net, id);
+      }
+    });
+  };
+  const Csr<CellId> seq_d_readers = cells_reading([](const Cell& c) {
+    return is_sequential(c.kind) ? c.in[0] : kNoNet;
+  });
+  const Csr<CellId> mux_b_readers = cells_reading([](const Cell& c) {
+    return c.kind == CellKind::Mux2 ? c.in[1] : kNoNet;
+  });
+
+  std::vector<bool> visited(raw.cells.size(), false);
+  for (std::size_t ci = 0; ci < config.scan_chains.size(); ++ci) {
+    const ScanChainSpec& chain = config.scan_chains[ci];
+    const auto si = in_ports.find(chain.scan_in);
+    const auto so = out_ports.find(chain.scan_out);
+    if (si == in_ports.end() || so == out_ports.end()) {
+      report.add(RuleId::ScanChainBroken, ci,
+                 "chain " + std::to_string(ci) + " ports '" + chain.scan_in +
+                     "'/'" + chain.scan_out + "' missing from the design");
+      continue;
+    }
+    NetId cur = si->second;
+    bool broken = false;
+    for (std::size_t step = 0; step < chain.length; ++step) {
+      // Candidate next stages from the current net: its direct D-pin
+      // readers, then those behind a scan mux. Exactly one must exist.
+      std::size_t candidates = seq_d_readers[cur].size();
+      CellId next = candidates > 0 ? seq_d_readers[cur].front() : 0;
+      for (const CellId m : mux_b_readers[cur]) {
+        const std::span<const CellId> behind =
+            seq_d_readers[raw.cells[m].out];
+        if (candidates == 0 && !behind.empty()) next = behind.front();
+        candidates += behind.size();
+      }
+      if (candidates != 1) {
+        std::ostringstream os;
+        os << "chain " << ci << " ('" << chain.scan_in << "') "
+           << (candidates == 0 ? "breaks" : "forks") << " after " << step
+           << " of " << chain.length << " flip-flops at net "
+           << net_label(raw, cur);
+        report.add(RuleId::ScanChainBroken, ci, os.str());
+        broken = true;
+        break;
+      }
+      visited[next] = true;
+      cur = raw.cells[next].out;
+    }
+    if (!broken && cur != so->second) {
+      std::ostringstream os;
+      os << "chain " << ci << " ends on net " << net_label(raw, cur)
+         << " but port '" << chain.scan_out << "' reads "
+         << net_label(raw, so->second)
+         << " (length mismatch or mis-stitched tail)";
+      report.add(RuleId::ScanChainBroken, ci, os.str());
+    }
+  }
+
+  std::size_t orphans = 0;
+  for (CellId id = 0; id < raw.cells.size(); ++id)
+    if (t.cell_ok[id] && is_sequential(raw.cells[id].kind) && !visited[id])
+      ++orphans;
+  if (orphans > 0) {
+    std::ostringstream os;
+    os << orphans << " scan flip-flop(s) unreachable from any scan-in";
+    report.add(RuleId::ScanChainBroken, kNoObject, os.str());
+  }
+}
+
+LintReport lint_design(const Design& raw, const NetlistLintConfig& config) {
+  LintReport report;
+  const Tables t = build_tables(raw, report);
+  lint_drivers(raw, t, report);
+  lint_cycles(raw, t, report);
+  if (config.check_unreachable) lint_unreachable(raw, t, report);
+  lint_fanout(raw, t, config, report);
+  lint_scan_chains(raw, t, config, report);
+  return report;
+}
+
+}  // namespace
+
+LintReport lint_netlist(const RawNetlist& raw,
+                        const NetlistLintConfig& config) {
+  return lint_design(Design(raw), config);
+}
+
+LintReport lint_netlist(const Netlist& nl, const NetlistLintConfig& config) {
+  return lint_design(Design(nl), config);
+}
+
+std::vector<CellId> find_comb_cycle(const RawNetlist& raw) {
+  LintReport scratch;
+  const Design design(raw);
+  return comb_cycle(design, build_tables(design, scratch));
+}
+
 std::string describe_comb_cycle(const Netlist& nl) {
-  const std::vector<CellId> cycle = find_comb_cycle(nl.to_raw());
+  LintReport scratch;
+  const Design design(nl);
+  const std::vector<CellId> cycle =
+      comb_cycle(design, build_tables(design, scratch));
   if (cycle.empty()) return {};
   std::ostringstream os;
   for (const CellId id : cycle) {

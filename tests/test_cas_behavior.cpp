@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cas_behavior.hpp"
 #include "core/config_protocol.hpp"
 #include "core/test_bus.hpp"
@@ -272,6 +274,40 @@ TEST(ConfigProtocol, CasStreamValidatesGeometry) {
                PreconditionError);
   EXPECT_THROW((void)build_cas_config_stream(chain, {99}),
                PreconditionError);
+}
+
+TEST(CasBusKernel, BypassChainEvaluatesEachCasOncePerChange) {
+  // The event-driven kernel evaluates a module only when a wire it
+  // watches changes. On a 64-CAS bypass chain a toggle at the head
+  // ripples down wire 0 in one pass, evaluating every CAS exactly once;
+  // a kernel back on full passes evaluates all 64 at least twice per
+  // settle (the change pass plus the quiet pass that confirms it), and
+  // would also evaluate them on the idle cycles.
+  constexpr std::size_t kCas = 64;
+  constexpr std::uint64_t kCycles = 200;
+  sim::Simulation sim;
+  CasBusChain chain(sim, 4, "bus");
+  for (std::size_t c = 0; c < kCas; ++c)
+    chain.add_cas("c" + std::to_string(c), 1);
+  sim.reset();
+  chain.head().set_all(Logic4::Zero);
+  sim.settle();
+
+  const sim::Simulation::KernelStats start = sim.kernel_stats();
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    chain.head()[0].set((cycle & 1u) == 0);
+    sim.settle();
+    ASSERT_EQ(sim.last_settle_passes(), 1u) << "cycle " << cycle;
+    ASSERT_EQ(chain.tail()[0].get(), chain.head()[0].get());
+    sim.step();
+  }
+  const sim::Simulation::KernelStats toggled = sim.kernel_stats();
+  EXPECT_EQ(toggled.evals - start.evals, kCas * kCycles);
+  EXPECT_EQ(toggled.passes - start.passes, kCycles);
+
+  sim.step(kCycles);  // idle: no wire changes, nothing to evaluate
+  EXPECT_EQ(sim.kernel_stats().evals, toggled.evals);
+  EXPECT_EQ(sim.kernel_stats().passes, toggled.passes);
 }
 
 }  // namespace

@@ -420,10 +420,19 @@ TEST(FloorTelemetry, StatsSnapshotCountsTheRun) {
   // Simulation happened and the engines reported effort.
   EXPECT_GT(stats.sim_memo_lookups, 0u);
   EXPECT_GT(stats.sim_eval_passes + stats.sim_sweep_cell_evals, 0u);
+  // The behavioural kernel evaluated modules in its settle passes.
+  EXPECT_GT(stats.sim_kernel_passes, 0u);
+  EXPECT_GE(stats.sim_kernel_evals, stats.sim_kernel_passes);
 
   // The wire format round-trips the headline numbers.
   const std::string json = stats.to_json();
   EXPECT_EQ(json.find('\n'), std::string::npos);
+  EXPECT_NE(json.find("\"kernel_evals\":" +
+                      std::to_string(stats.sim_kernel_evals)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"kernel_passes\":" +
+                      std::to_string(stats.sim_kernel_passes)),
+            std::string::npos);
   EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"submitted\":6"), std::string::npos);
 }

@@ -48,6 +48,7 @@ class ToyCore : public sim::Module {
     s_[0] = n0;
     s_[1] = n1;
     s_[2] = n2;
+    wake();  // the outputs show the new state
   }
 
   void reset() override { s_[0] = s_[1] = s_[2] = false; }
@@ -57,6 +58,7 @@ class ToyCore : public sim::Module {
     s_[0] = a;
     s_[1] = b;
     s_[2] = c;
+    wake();
   }
 
   sim::Wire *fin0, *fin1, *fout0, *fout1;

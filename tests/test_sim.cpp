@@ -15,7 +15,7 @@ namespace {
 /// y = !a, combinational.
 class Inverter : public Module {
  public:
-  Inverter(Wire& a, Wire& y) : Module("inv"), a_(a), y_(y) {}
+  Inverter(Wire& a, Wire& y) : Module("inv"), a_(a), y_(y) { watch(a_); }
   void evaluate() override { y_.set(logic_not(a_.get())); }
 
  private:
@@ -28,7 +28,10 @@ class Dff : public Module {
  public:
   Dff(Wire& d, Wire& q) : Module("dff"), d_(d), q_(q) {}
   void evaluate() override { q_.set(state_); }
-  void tick() override { state_ = d_.get(); }
+  void tick() override {
+    state_ = d_.get();
+    wake();  // q shows the new state
+  }
   void reset() override { state_ = Logic4::Zero; }
 
  private:

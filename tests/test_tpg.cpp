@@ -287,6 +287,58 @@ TEST(FaultSimTest, GoodResponseMatchesDirectSimulation) {
   EXPECT_EQ(r1.size(), fsim.response_width());
 }
 
+TEST(FaultSimTest, BatchedGoodResponsesMatchScalarSimulation) {
+  // 150 patterns: two full 64-lane passes and a partial third, with both
+  // pinned and free inputs, against the scalar GateSim as reference.
+  SyntheticCoreSpec spec;
+  spec.seed = 12;
+  spec.n_inputs = 4;
+  spec.n_outputs = 5;
+  spec.n_flipflops = 9;
+  spec.n_gates = 40;
+  const SyntheticCore core = make_synthetic_core(spec);
+  FaultSimulator fsim(core.netlist);
+  fsim.pin_input("scan_en", false);
+  fsim.pin_input("si0", true);
+
+  Rng rng(5);
+  const PatternSet patterns =
+      PatternSet::random(fsim.pattern_width(), 150, rng);
+  std::vector<const BitVector*> batch;
+  for (std::size_t p = 0; p < patterns.size(); ++p)
+    batch.push_back(&patterns.at(p));
+  const std::vector<BitVector> responses = fsim.good_responses(batch);
+  ASSERT_EQ(responses.size(), patterns.size());
+
+  netlist::GateSim ref(core.netlist);
+  const netlist::Netlist& nl = ref.design();
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    // Pattern image: free inputs in port order, then flip-flops.
+    std::size_t bit = 0;
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      const std::string& name = nl.inputs()[i].name;
+      if (name == "scan_en")
+        ref.set_input_index(i, Logic4::Zero);
+      else if (name == "si0")
+        ref.set_input_index(i, Logic4::One);
+      else
+        ref.set_input_index(i, to_logic(patterns.at(p).get(bit++)));
+    }
+    for (std::size_t f = 0; f < ref.dff_count(); ++f)
+      ref.set_dff_state(f, to_logic(patterns.at(p).get(bit++)));
+    ref.eval();
+    // Response image: primary outputs, then flip-flop D pins.
+    BitVector want(fsim.response_width());
+    std::size_t r = 0;
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o)
+      want.set(r++, ref.output_index(o) == Logic4::One);
+    for (const netlist::CellId id : ref.levelized()->dff_cells())
+      want.set(r++, ref.net_value(nl.cell(id).in[0]) == Logic4::One);
+    EXPECT_EQ(responses[p], want) << "pattern " << p;
+    EXPECT_EQ(fsim.good_response(patterns.at(p)), want) << "pattern " << p;
+  }
+}
+
 TEST(AtpgTest, ReachesTargetCoverageOnSyntheticCore) {
   SyntheticCoreSpec spec;
   spec.n_inputs = 6;

@@ -88,6 +88,11 @@ def print_snapshot(s):
     print(f"  core models: gate-level sweeps run={core_run}"
           f" skipped={core_skipped}"
           f" ({fmt_rate(core_skipped, core_run + core_skipped)} skipped)")
+    kernel_evals = sim.get("kernel_evals", 0)
+    kernel_passes = sim.get("kernel_passes", 0)
+    per_pass = kernel_evals / kernel_passes if kernel_passes else 0.0
+    print(f"  kernel: module evaluations={kernel_evals}"
+          f" settle passes={kernel_passes} ({per_pass:.1f} evals/pass)")
     print(f"  sched: nodes={sched.get('nodes_expanded', 0)}"
           f" prunes={sched.get('prunes', 0)}"
           f" improvements={sched.get('improvements', 0)}"
