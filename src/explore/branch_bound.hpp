@@ -41,7 +41,7 @@
 /// the incumbent schedule, optimality verdict, certified lower bound and
 /// all counters are byte-identical at any `threads` value. That is what
 /// makes `threads` safe to exclude from floor cache keys (see
-/// floor::JobSimOptions). Non-deterministic mode trades this for eager
+/// floor::run_job). Non-deterministic mode trades this for eager
 /// lock-free incumbent publication (atomic min) and live pruning.
 
 #pragma once

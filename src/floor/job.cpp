@@ -81,15 +81,6 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
   result.engine.kernel_passes = tester.kernel_stats().passes;
 }
 
-/// Maps the floor-level engine knobs onto soc::TesterOptions.
-soc::TesterOptions tester_options(const JobSimOptions& sim) {
-  soc::TesterOptions opts;
-  opts.sim_mode = sim.event_sim ? netlist::EvalMode::EventDriven
-                                : netlist::EvalMode::FullSweep;
-  opts.sim_threads = sim.sim_threads;
-  return opts;
-}
-
 /// Lints one generated core netlist, including its scan-chain topology
 /// (verify rule NL007 walks the mux-D path the chain spec promises).
 verify::LintReport lint_core_netlist(const tpg::SyntheticCore& core) {
@@ -154,9 +145,8 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 /// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, compile
 /// via the analytic scheduler, then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
-                   bool verify,
-                   const JobSimOptions& sim, const JobTelemetry& obs,
-                   JobResult& result) {
+                   bool verify, std::size_t sched_threads,
+                   const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -198,7 +188,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   sched::ScheduleStats sched_stats;
   program.schedule =
       sched::schedule_with(program.specs, soc->bus().width(), spec.strategy,
-                           &sched_stats, sim.sched_threads);
+                           &sched_stats, sched_threads);
   result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
   result.engine.sched_prunes = sched_stats.prunes;
   result.engine.sched_improvements = sched_stats.incumbent_improvements;
@@ -216,7 +206,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   }
 
   // ---- Stage: Simulate ----------------------------------------------------
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc);
   const soc::ScheduleRunReport report =
       soc::run_program(*soc, tester, program);
   harvest_tester(tester, result);
@@ -239,8 +229,7 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
 /// (charged to the Compile stage) and predicted directly with the time
 /// model.
 void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
-                      const JobSimOptions& sim, const JobTelemetry& obs,
-                      JobResult& result) {
+                      const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -258,7 +247,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
                                 static_cast<unsigned>(children),
                                 std::move(child_specs));
   auto soc = builder.build();
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc);
   timer.finish(Stage::Build);
 
   // ---- Stage: Compile (hand-assembled session) ----------------------------
@@ -316,8 +305,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
 /// verdict, clean scan responses, and zero traffic read-back errors. The
 /// interleaved mission/test windows are all charged to Simulate.
 void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
-                     const JobSimOptions& sim, const JobTelemetry& obs,
-                     JobResult& result) {
+                     const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -330,7 +318,7 @@ void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
   auto soc = builder.build();
 
   soc::MemoryTraffic traffic(*soc, 1, rng.next());
-  soc::SocTester tester(*soc, tester_options(sim));
+  soc::SocTester tester(*soc);
   soc::MemoryCore& ram = soc->cores()[0].as_memory();
   timer.finish(Stage::Build);
 
@@ -483,7 +471,8 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
 }  // namespace
 
 JobResult run_job(const JobSpec& spec, VerdictCache* cache, bool verify,
-                  JobSimOptions sim, const JobTelemetry& obs) noexcept {
+                  std::size_t sched_threads,
+                  const JobTelemetry& obs) noexcept {
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
 
@@ -507,18 +496,18 @@ JobResult run_job(const JobSpec& spec, VerdictCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, verify, sim, obs,
-                      result);
+        run_scheduled(spec, /*with_engines=*/false, rng, verify,
+                      sched_threads, obs, result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, verify, sim, obs,
-                      result);
+        run_scheduled(spec, /*with_engines=*/true, rng, verify, sched_threads,
+                      obs, result);
         break;
       case ScenarioKind::Hierarchical:
-        run_hierarchical(spec, rng, verify, sim, obs, result);
+        run_hierarchical(spec, rng, verify, obs, result);
         break;
       case ScenarioKind::Maintenance:
-        run_maintenance(spec, rng, verify, sim, obs, result);
+        run_maintenance(spec, rng, verify, obs, result);
         break;
     }
     // Clean runs qualify the recipe for verdict reuse; errors never do

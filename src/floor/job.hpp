@@ -183,27 +183,6 @@ struct JobResult {
 
 class VerdictCache;
 
-/// Simulation-engine options forwarded to a job's private SocTester
-/// (soc::TesterOptions carries the full contract). Both knobs are pure
-/// optimisations: every deterministic JobResult field is byte-identical
-/// for any combination, so they are excluded from JobSpec::cache_key —
-/// a cached verdict is valid under any engine configuration.
-struct JobSimOptions {
-  /// Event-driven golden-model evaluation (netlist::EvalMode::EventDriven)
-  /// instead of full sweeps. Exact by construction (packed_gatesim.hpp).
-  bool event_sim = true;
-  /// Threads for precomputing a session's golden responses (1 = inline,
-  /// 0 = one per hardware thread). Responses depend only on (core,
-  /// pattern), so the thread count cannot change any result.
-  std::size_t sim_threads = 1;
-  /// Threads for the Schedule stage's branch-and-bound search when the
-  /// spec selects Strategy::BranchBound or Strategy::Exact (1 = serial,
-  /// 0 = one per hardware thread; other strategies ignore it). The search runs in
-  /// deterministic mode, so the schedule is byte-identical at any thread
-  /// count — which is what keeps this knob out of JobSpec::cache_key.
-  std::size_t sched_threads = 1;
-};
-
 /// Observability hooks handed to run_job by the floor (all optional —
 /// value-default means "telemetry off", and every instrument site guards
 /// on the null pointers, so the disabled cost is a pointer test).
@@ -240,11 +219,19 @@ struct JobTelemetry {
 /// must be private to the calling thread (the floor gives each worker its
 /// own).
 ///
+/// \p sched_threads is the thread count of the Schedule stage's
+/// branch-and-bound search when the spec selects Strategy::BranchBound or
+/// Strategy::Exact (1 = serial, 0 = one per hardware thread; other
+/// strategies ignore it). The search runs in deterministic mode, so the
+/// schedule is byte-identical at any thread count, which is what keeps it
+/// out of JobSpec::cache_key.
+///
 /// \p obs carries the floor's telemetry sinks (JobTelemetry); the default
 /// runs with telemetry off. Spans and counters are emitted per executed
 /// stage — a verdict-tier hit emits none (no stage ran).
 [[nodiscard]] JobResult run_job(const JobSpec& spec, VerdictCache* cache,
-                                bool verify = true, JobSimOptions sim = {},
+                                bool verify = true,
+                                std::size_t sched_threads = 1,
                                 const JobTelemetry& obs = {}) noexcept;
 
 /// Cache-less convenience overload.

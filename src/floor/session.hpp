@@ -27,9 +27,8 @@
 /// off, and to an equivalent batch TestFloor::run over the same list.
 /// Caches cannot break this because compilation is pure (see job.hpp);
 /// stealing cannot because results land by slot, never by completion.
-/// The engine knobs (event_sim, sim_threads, sched_threads) cannot
-/// either: all are pure optimisations of the Simulate / Schedule stages
-/// (see JobSimOptions in job.hpp and the measured cost model in
+/// Nor can sched_threads: the Schedule stage's search is deterministic at
+/// any thread count (see run_job in job.hpp and the measured cost model in
 /// docs/PERFORMANCE.md).
 
 #pragma once
@@ -79,21 +78,11 @@ struct FloorConfig {
   /// without simulating. Cheap (µs per job) — disable only to measure its
   /// cost or to force a known-bad design through the tester.
   bool verify = true;
-  /// Event-driven golden-model evaluation in each job's tester
-  /// (JobSimOptions::event_sim). Pure optimisation: deterministic results
-  /// are byte-identical either way.
-  bool event_sim = true;
-  /// Golden-response precompute threads inside each job's Simulate stage
-  /// (JobSimOptions::sim_threads; 1 = inline, 0 = one per hardware
-  /// thread). Multiplies with `workers` — prefer sim_threads > 1 when a
-  /// floor runs few, simulation-heavy jobs, and workers > 1 when it runs
-  /// many. Cannot change any deterministic result or the
-  /// deterministic_summary() text.
-  std::size_t sim_threads = 1;
   /// Branch-and-bound search threads inside each job's Schedule stage
-  /// (JobSimOptions::sched_threads; 1 = serial, 0 = one per hardware
-  /// thread; only Strategy::BranchBound and Strategy::Exact jobs use it).
-  /// Same multiplication trade-off as sim_threads. The search runs
+  /// (run_job's sched_threads; 1 = serial, 0 = one per hardware thread;
+  /// only Strategy::BranchBound and Strategy::Exact jobs use it).
+  /// Multiplies with `workers`: prefer it over more workers only when a
+  /// floor runs few, search-heavy jobs. The search runs
   /// deterministically, so this cannot change any deterministic result or
   /// the deterministic_summary() text either.
   std::size_t sched_threads = 1;

@@ -52,7 +52,7 @@ struct FloorMetricIds {
   obs::MetricId sim_kernel_passes{};    ///< floor.sim.kernel.passes
   // Branch-and-bound scheduling effort. Per-thread-sharded like every
   // registry counter: B&B worker threads aggregate into the same stable
-  // names regardless of JobSimOptions::sched_threads.
+  // names regardless of FloorConfig::sched_threads.
   obs::MetricId sched_nodes{};          ///< floor.sched.nodes_expanded
   obs::MetricId sched_prunes{};         ///< floor.sched.prunes
   obs::MetricId sched_improvements{};   ///< floor.sched.improvements

@@ -7,12 +7,11 @@
 
 namespace casbus::netlist {
 
-FaultSim::FaultSim(Netlist nl, EvalMode mode)
-    : FaultSim(std::make_shared<const LevelizedNetlist>(std::move(nl)),
-               mode) {}
+FaultSim::FaultSim(Netlist nl)
+    : FaultSim(std::make_shared<const LevelizedNetlist>(std::move(nl))) {}
 
-FaultSim::FaultSim(std::shared_ptr<const LevelizedNetlist> lev, EvalMode mode)
-    : sim_(std::move(lev), mode) {
+FaultSim::FaultSim(std::shared_ptr<const LevelizedNetlist> lev)
+    : sim_(std::move(lev)) {
   set_observation(true, true);
 }
 
@@ -147,7 +146,7 @@ FaultCampaignReport run_fault_campaign(
   // report vectors, so no synchronisation is needed until the join.
   const auto grade_shard = [&](std::size_t lo, std::size_t hi,
                                SimStats* stats_out) {
-    FaultSim fs(lev, opts.mode);
+    FaultSim fs(lev);
     fs.set_observation(opts.observe_outputs, opts.observe_dffs);
     StuckAtFault batch[FaultSim::kBatch];
     std::size_t batch_idx[FaultSim::kBatch];

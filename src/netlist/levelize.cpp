@@ -11,6 +11,7 @@
 // cycle extractor lives in the verification layer. The casbus library is a
 // single archive; if netlist ever needs to stand alone, this reporter call
 // is the one seam to cut.
+#include "util/csr.hpp"
 #include "verify/netlist_lint.hpp"
 
 namespace casbus::netlist {
@@ -39,16 +40,12 @@ void LevelizedNetlist::levelize() {
   const std::size_t n_nets = nl_.net_count();
   std::vector<int> pending_drivers(n_nets, 0);
   std::vector<int> cell_missing(nl_.cell_count(), 0);
-  std::vector<std::size_t>& cell_level = cell_level_;
-  cell_level.assign(nl_.cell_count(), 0);
   std::vector<std::size_t> net_level(n_nets, 0);
 
-  // DFF outputs are sources: only combinational cells enter the graphs.
-  comb_drivers_ = Csr<CellId>::build(n_nets, [&](auto&& emit) {
-    for (CellId id = 0; id < nl_.cell_count(); ++id)
-      if (!is_sequential(nl_.cell(id).kind)) emit(nl_.cell(id).out, id);
-  });
-  readers_ = Csr<CellId>::build(n_nets, [&](auto&& emit) {
+  // DFF outputs are sources: only combinational cells drive or read here.
+  for (const Cell& c : nl_.cells())
+    if (!is_sequential(c.kind)) ++pending_drivers[c.out];
+  const auto readers = Csr<CellId>::build(n_nets, [&](auto&& emit) {
     for (CellId id = 0; id < nl_.cell_count(); ++id) {
       const Cell& c = nl_.cell(id);
       if (is_sequential(c.kind)) continue;
@@ -56,8 +53,6 @@ void LevelizedNetlist::levelize() {
         emit(c.in[static_cast<std::size_t>(i)], id);
     }
   });
-  for (NetId n = 0; n < n_nets; ++n)
-    pending_drivers[n] = static_cast<int>(comb_drivers_[n].size());
   for (CellId id = 0; id < nl_.cell_count(); ++id) {
     const Cell& c = nl_.cell(id);
     if (is_sequential(c.kind)) continue;
@@ -84,12 +79,13 @@ void LevelizedNetlist::levelize() {
     const int n_in = fanin(c.kind);
     for (int i = 0; i < n_in; ++i)
       lvl = std::max(lvl, net_level[c.in[static_cast<std::size_t>(i)]]);
-    cell_level[id] = lvl + 1;
-    depth_ = std::max(depth_, cell_level[id]);
+    // A cell sits one level above its deepest input net.
+    const std::size_t level = lvl + 1;
+    depth_ = std::max(depth_, level);
 
-    net_level[c.out] = std::max(net_level[c.out], cell_level[id]);
+    net_level[c.out] = std::max(net_level[c.out], level);
     if (--pending_drivers[c.out] == 0) {
-      for (const CellId r : readers_[c.out])
+      for (const CellId r : readers[c.out])
         if (--cell_missing[r] == 0) ready.push(r);
     }
   }

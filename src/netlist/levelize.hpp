@@ -12,13 +12,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/csr.hpp"
 
 namespace casbus::netlist {
 
@@ -49,26 +47,6 @@ class LevelizedNetlist {
     return net_is_tri_[net];
   }
 
-  /// Combinational cells reading \p net (the fanout list), in cell order.
-  /// A cell reading the same net on two pins appears twice; event-driven
-  /// evaluation dedups via its per-cell dirty flag.
-  [[nodiscard]] std::span<const CellId> readers(NetId net) const {
-    return readers_[net];
-  }
-
-  /// Combinational cells driving \p net, in cell order. At most one entry
-  /// unless the net is tri-state (wired: several Tribufs).
-  [[nodiscard]] std::span<const CellId> comb_drivers(NetId net) const {
-    return comb_drivers_[net];
-  }
-
-  /// Evaluation level of a combinational cell: 1 + max level of its input
-  /// nets, so every reader sits strictly above all drivers of its inputs.
-  /// Sequential cells report level 0 (their outputs are sources).
-  [[nodiscard]] std::size_t cell_level(CellId id) const {
-    return cell_level_[id];
-  }
-
   /// Combinational depth (max cell level) — the critical path in gate
   /// stages, reported by the generator benches.
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
@@ -86,9 +64,6 @@ class LevelizedNetlist {
   std::vector<CellId> comb_order_;
   std::vector<CellId> dff_cells_;
   std::vector<bool> net_is_tri_;
-  Csr<CellId> readers_;       // per net, its combinational reader cells
-  Csr<CellId> comb_drivers_;  // per net, its combinational driver cells
-  std::vector<std::size_t> cell_level_;
   std::unordered_map<std::string, std::size_t> input_index_;
   std::unordered_map<std::string, std::size_t> output_index_;
   std::size_t depth_ = 0;

@@ -5,10 +5,9 @@
 /// event-driven settle-until-fixpoint delta loop — used by the TAM models
 /// in src/core/ and src/soc/. The gate-level engines live one layer down in
 /// src/netlist/: GateSim (scalar), PackedGateSim (64 patterns per pass,
-/// with an exact event-driven mode), and FaultSim (64 faulty machines per
-/// pass, threadable via run_fault_campaign). docs/ARCHITECTURE.md maps
-/// the layers; docs/PERFORMANCE.md records the measured cost model across
-/// all four engines.
+/// full sweep), and FaultSim (64 faulty machines per pass, threadable via
+/// run_fault_campaign). docs/ARCHITECTURE.md maps the layers;
+/// docs/PERFORMANCE.md records the measured cost model across the engines.
 
 #pragma once
 

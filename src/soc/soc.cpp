@@ -288,6 +288,13 @@ std::unique_ptr<Soc> SocBuilder::build() {
                      "connect: source pin out of range on " + pc.from);
       CASBUS_REQUIRE(conn.to_pin < dst.sys_in.size(),
                      "connect: destination pin out of range on " + pc.to);
+      // One driver per input pin: a second connection would drive the
+      // same wire from two sources in one Interconnect evaluation.
+      for (const Connection& prior : meta)
+        CASBUS_REQUIRE(prior.to_core != conn.to_core ||
+                           prior.to_pin != conn.to_pin,
+                       "connect: input pin " + std::to_string(pc.to_pin) +
+                           " of core " + pc.to + " is already driven");
       wire_pairs.emplace_back(src.sys_out[conn.from_pin],
                               dst.sys_in[conn.to_pin]);
       meta.push_back(conn);

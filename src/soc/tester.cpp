@@ -1,10 +1,7 @@
 #include "soc/tester.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <thread>
 
 #include "core/config_protocol.hpp"
 #include "util/rng.hpp"
@@ -14,8 +11,7 @@ namespace casbus::soc {
 using tam::InstructionSet;
 using tam::SwitchScheme;
 
-SocTester::SocTester(Soc& soc, TesterOptions options)
-    : soc_(soc), options_(options) {}
+SocTester::SocTester(Soc& soc) : soc_(soc) {}
 
 tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   auto it = golden_.find(ref);
@@ -25,7 +21,7 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
     const NetlistCore& model = core_at(ref).as_scan();
     const tpg::SyntheticCore& sc = model.synth();
     auto fsim = std::make_unique<tpg::FaultSimulator>(
-        model.gatesim().levelized(), options_.sim_mode);
+        model.gatesim().levelized());
     for (std::size_t i = 0; i < sc.spec.n_inputs; ++i)
       fsim->pin_input("pi" + std::to_string(i), false);
     fsim->pin_input("scan_en", false);
@@ -38,10 +34,7 @@ tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
 
 std::vector<const BitVector*> SocTester::expected_responses(
     const CoreRef& ref, const tpg::PatternSet& patterns) {
-  // Only find() on the outer maps: the concurrent precompute path creates
-  // every per-core entry serially beforehand.
-  std::unordered_map<std::string, BitVector>& cache =
-      golden_cache_.find(ref)->second;
+  std::unordered_map<std::string, BitVector>& cache = golden_cache_[ref];
   std::vector<const BitVector*> out(patterns.size());
   std::vector<const BitVector*> misses;
   std::vector<BitVector*> slots;  // memo entries the misses fill
@@ -56,12 +49,10 @@ std::vector<const BitVector*> SocTester::expected_responses(
     }
     out[r] = &it->second;
   }
-  memo_lookups_.fetch_add(patterns.size(), std::memory_order_relaxed);
-  memo_hits_.fetch_add(patterns.size() - misses.size(),
-                       std::memory_order_relaxed);
+  memo_lookups_ += patterns.size();
+  memo_hits_ += patterns.size() - misses.size();
   if (!misses.empty()) {
-    std::vector<BitVector> fresh =
-        golden_.find(ref)->second->good_responses(misses);
+    std::vector<BitVector> fresh = golden_for(ref).good_responses(misses);
     for (std::size_t i = 0; i < slots.size(); ++i)
       *slots[i] = std::move(fresh[i]);
   }
@@ -338,71 +329,25 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
   std::size_t max_patterns = 0;
   for (const ScanTarget& target : session.targets) {
     max_patterns = std::max(max_patterns, target.patterns.size());
-    // Create the simulator and its response cache up front (serially):
-    // the precompute below then only touches per-core state.
-    (void)golden_for(target.core);
-    golden_cache_[target.core];
     CASBUS_REQUIRE(
         target.patterns.empty() ||
             target.patterns.width() == synth_of(target.core).spec.n_flipflops,
         "scan patterns must have one bit per flip-flop");
   }
 
-  // Precompute every golden response of the session. The good machine is
-  // read-only, so responses depend only on (core, pattern) — memoised in
-  // golden_cache_ across sessions — and target cores shard cleanly across
-  // options_.sim_threads workers (each core's engine and cache are touched
-  // by exactly one worker; results are identical for any thread count).
+  // Precompute every golden response of the session, target by target.
+  // The good machine is read-only, so responses depend only on (core,
+  // pattern) and are memoised in golden_cache_ across sessions.
   std::vector<std::vector<const BitVector*>> expected_all(
       session.targets.size());
-  {
-    const auto precompute_start = std::chrono::steady_clock::now();
-    std::map<CoreRef, std::vector<std::size_t>> targets_of_core;
-    for (std::size_t t = 0; t < session.targets.size(); ++t)
-      targets_of_core[session.targets[t].core].push_back(t);
-    std::vector<std::vector<std::size_t>> shards;
-    shards.reserve(targets_of_core.size());
-    for (auto& [core, ts] : targets_of_core) shards.push_back(ts);
-
-    const auto run_shard = [&](const std::vector<std::size_t>& ts) {
-      for (const std::size_t t : ts)
-        expected_all[t] = expected_responses(session.targets[t].core,
-                                             session.targets[t].patterns);
-    };
-
-    std::size_t workers = options_.sim_threads;
-    if (workers == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      workers = hw == 0 ? 1 : hw;
-    }
-    workers = std::min(workers, shards.size());
-    if (workers <= 1) {
-      for (const auto& shard : shards) run_shard(shard);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::exception_ptr> errors(workers);
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (std::size_t i = next.fetch_add(1); i < shards.size();
-                 i = next.fetch_add(1))
-              run_shard(shards[i]);
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      for (const std::exception_ptr& e : errors)
-        if (e) std::rethrow_exception(e);
-    }
-    precompute_seconds_ += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               precompute_start)
-                               .count();
-  }
+  const auto precompute_start = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < session.targets.size(); ++t)
+    expected_all[t] = expected_responses(session.targets[t].core,
+                                         session.targets[t].patterns);
+  precompute_seconds_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    precompute_start)
+          .count();
 
   result.targets.resize(session.targets.size());
   for (std::size_t t = 0; t < session.targets.size(); ++t)

@@ -16,9 +16,8 @@ FaultSimulator::FaultSimulator(Netlist nl)
     : FaultSimulator(netlist::levelize(std::move(nl))) {}
 
 FaultSimulator::FaultSimulator(
-    std::shared_ptr<const netlist::LevelizedNetlist> lev,
-    netlist::EvalMode mode)
-    : packed_(std::move(lev), mode) {
+    std::shared_ptr<const netlist::LevelizedNetlist> lev)
+    : packed_(std::move(lev)) {
   for (std::size_t i = 0; i < nl().inputs().size(); ++i)
     free_inputs_.push_back(i);
 }
@@ -167,7 +166,6 @@ FaultSimReport FaultSimulator::run(const PatternSet& patterns,
                                    std::size_t threads) {
   netlist::FaultCampaignOptions opts;
   opts.threads = threads;
-  opts.mode = packed_.mode();
   const auto loader = [this, &patterns](netlist::FaultSim& engine,
                                         std::size_t p) {
     load_pattern(engine, patterns.at(p));

@@ -461,13 +461,15 @@ TEST(SessionHealth, HealthImpliesMetricsAndForcedTicksCount) {
 TEST(SessionHealth, WatchdogTripsOnSlowJobThenClearsAfterDrain) {
   FloorConfig config;
   config.workers = 1;
-  config.health = session_health(1);  // 1 ms deadline, jobs take 10s of ms
+  config.health = session_health(1);  // 1 ms deadline, jobs take ~10 ms
   FloorSession session(config);
-  const auto jobs = slow_batch(91, 6, 6);
+  const auto jobs = slow_batch(91, 6, 48);
   for (const JobSpec& spec : jobs) ASSERT_TRUE(session.submit(spec));
 
   // Poll while the floor runs: some forced tick must land >1 ms into a
-  // job (each takes tens of ms), tripping HL006 with 1-sample hysteresis.
+  // job (each takes ~10 ms at 48 patterns per flip-flop; at 6 they took
+  // ~1.5 ms, so a descheduled poller could miss every window), tripping
+  // HL006 with 1-sample hysteresis.
   bool tripped = false;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -506,7 +508,7 @@ TEST(SessionHealth, CriticalTransitionWritesIncidentBundle) {
   config.health = session_health(1);
   config.health.incident_dir = dir.string();
   FloorSession session(config);
-  const auto jobs = slow_batch(92, 6, 6);
+  const auto jobs = slow_batch(92, 6, 48);
   for (const JobSpec& spec : jobs) ASSERT_TRUE(session.submit(spec));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);

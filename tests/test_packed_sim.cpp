@@ -281,169 +281,6 @@ TEST(PackedGateSim, ForcesOnTriStateNetsMatchScalar) {
   }
 }
 
-/// Runs event-driven vs full-sweep lock-step over \p steps rounds of
-/// random incremental edits (partial input/DFF updates, X/Z included,
-/// optional lane-masked forces) with interleaved eval()/tick(), comparing
-/// every net after each pass. This is the byte-exactness contract of
-/// EvalMode::EventDriven.
-void check_event_equivalence(const netlist::Netlist& nl, std::uint64_t seed,
-                             int steps, bool with_forces) {
-  Rng rng(seed);
-  const auto lev = netlist::levelize(nl);
-  PackedGateSim sweep(lev, netlist::EvalMode::FullSweep);
-  PackedGateSim event(lev, netlist::EvalMode::EventDriven);
-
-  const auto compare_all = [&](int step) {
-    for (netlist::NetId n = 0; n < nl.net_count(); ++n)
-      ASSERT_EQ(event.net_value(n), sweep.net_value(n))
-          << "net " << n << " step " << step << " seed " << seed;
-  };
-
-  std::vector<netlist::NetId> forced;
-  for (int step = 0; step < steps; ++step) {
-    // Edit a random subset of inputs and flip-flops (sparse on most
-    // rounds — the regime event-driven evaluation exists for).
-    const std::size_t n_edits = 1 + rng.below(3);
-    for (std::size_t e = 0; e < n_edits; ++e) {
-      if (!nl.inputs().empty() && rng.coin()) {
-        const std::size_t i = rng.below(nl.inputs().size());
-        const unsigned lane = static_cast<unsigned>(rng.below(64));
-        const Logic4 v = random_logic(rng);
-        sweep.set_input_lane(i, lane, v);
-        event.set_input_lane(i, lane, v);
-      } else if (sweep.dff_count() > 0) {
-        const std::size_t i = rng.below(sweep.dff_count());
-        const unsigned lane = static_cast<unsigned>(rng.below(64));
-        const Logic4 v = random_logic(rng);
-        sweep.set_dff_lane(i, lane, v);
-        event.set_dff_lane(i, lane, v);
-      }
-    }
-    if (with_forces) {
-      if (!forced.empty() && rng.below(4) == 0) {
-        sweep.clear_forces();
-        event.clear_forces();
-        forced.clear();
-      } else if (rng.coin()) {
-        const auto net =
-            static_cast<netlist::NetId>(rng.below(nl.net_count()));
-        const Logic4 v = to_logic(rng.coin());
-        const std::uint64_t mask = 1ULL << rng.below(64);
-        sweep.set_force(net, v, mask);
-        event.set_force(net, v, mask);
-        forced.push_back(net);
-      }
-    }
-
-    if (rng.below(4) == 0) {
-      sweep.tick();
-      event.tick();
-    } else {
-      sweep.eval();
-      event.eval();
-    }
-    compare_all(step);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnRandomCores) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    tpg::SyntheticCoreSpec spec;
-    spec.n_inputs = 6;
-    spec.n_outputs = 5;
-    spec.n_flipflops = 12;
-    spec.n_gates = 80;
-    spec.n_chains = 2;
-    spec.seed = 2000 + seed;
-    const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-    check_event_equivalence(core.netlist, seed, 40, false);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnTriStateCasWithForces) {
-  // Tri-state nets are the hard case: the event path rebuilds a wired net
-  // from cached Tribuf outputs plus the sweep's seed/force semantics.
-  for (const unsigned n : {4u, 6u}) {
-    const tam::GeneratedCas gen = tam::generate_cas(
-        n, n / 2, {tam::CasImplementation::OptimizedGateLevel, true});
-    check_event_equivalence(gen.netlist, 500 + n, 30, true);
-  }
-}
-
-TEST(PackedGateSim, EventDrivenMatchesSweepOnScanShift) {
-  // Scan-shift stimulus: only the chain inputs change per cycle; event
-  // mode must stay exact while touching a fraction of the design.
-  tpg::SyntheticCoreSpec spec;
-  spec.n_inputs = 8;
-  spec.n_outputs = 8;
-  spec.n_flipflops = 32;
-  spec.n_gates = 200;
-  spec.n_chains = 2;
-  spec.seed = 31337;
-  const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
-
-  PackedGateSim sweep(lev, netlist::EvalMode::FullSweep);
-  PackedGateSim event(lev, netlist::EvalMode::EventDriven);
-  const std::size_t se = lev->input_index("scan_en");
-
-  Rng rng(9);
-  for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i) {
-    const Logic4 v = to_logic(rng.coin());
-    sweep.set_input_index(i, word_broadcast(v));
-    event.set_input_index(i, word_broadcast(v));
-  }
-  sweep.set_input_index(se, word_broadcast(Logic4::One));
-  event.set_input_index(se, word_broadcast(Logic4::One));
-
-  for (int cycle = 0; cycle < 48; ++cycle) {
-    for (std::size_t c = 0; c < core.chains.size(); ++c) {
-      const std::size_t idx = lev->input_index("si" + std::to_string(c));
-      const Logic4 v = to_logic(rng.coin());
-      sweep.set_input_index(idx, word_broadcast(v));
-      event.set_input_index(idx, word_broadcast(v));
-    }
-    sweep.tick();
-    event.tick();
-    for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
-      ASSERT_EQ(event.net_value(n), sweep.net_value(n))
-          << "net " << n << " cycle " << cycle;
-  }
-  // The whole point: a shift cycle re-evaluates only the scan path.
-  EXPECT_LT(event.stats().cell_evals, event.stats().sweep_cell_evals);
-  EXPECT_LT(event.stats().activity(), 1.0);
-  EXPECT_EQ(sweep.stats().activity(), 1.0);
-}
-
-TEST(PackedGateSim, ModeSwitchMidStreamStaysExact) {
-  tpg::SyntheticCoreSpec spec;
-  spec.n_inputs = 5;
-  spec.n_outputs = 4;
-  spec.n_flipflops = 10;
-  spec.n_gates = 70;
-  spec.seed = 606;
-  const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
-
-  PackedGateSim sweep(lev);
-  PackedGateSim flip(lev);  // toggles modes while running
-  Rng rng(55);
-  for (int step = 0; step < 24; ++step) {
-    if (step % 6 == 0)
-      flip.set_mode(step % 12 == 0 ? netlist::EvalMode::EventDriven
-                                   : netlist::EvalMode::FullSweep);
-    const std::size_t i = rng.below(core.netlist.inputs().size());
-    const Logic4 v = random_logic(rng);
-    sweep.set_input_index(i, word_broadcast(v));
-    flip.set_input_index(i, word_broadcast(v));
-    sweep.tick();
-    flip.tick();
-    for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
-      ASSERT_EQ(flip.net_value(n), sweep.net_value(n))
-          << "net " << n << " step " << step;
-  }
-}
-
 /// GateSim change tracking against an engine that always sweeps. GateSim
 /// skips eval() when no source changed since its last sweep; lane 0 of a
 /// full-sweep PackedGateSim is the oracle. A random sequence drives every
@@ -451,13 +288,14 @@ TEST(PackedGateSim, ModeSwitchMidStreamStaysExact) {
 /// set_dff_state, set_force/clear_forces between two otherwise idle evals,
 /// tick and reset — and every net is compared after each eval and tick.
 /// An idle eval must be skipped, so the check cannot pass by sweeping
-/// every time.
+/// every time; the oracle must sweep on every pass, so it cannot skip.
 void check_change_tracking(const netlist::Netlist& nl, std::uint64_t seed,
                            int steps) {
   Rng rng(seed);
   const auto lev = netlist::levelize(nl);
   GateSim scalar(lev);
-  PackedGateSim oracle(lev, netlist::EvalMode::FullSweep);
+  PackedGateSim oracle(lev);
+  std::uint64_t oracle_passes = 0;  // eval() and tick() calls on the oracle
   std::vector<Logic4> inputs(nl.inputs().size(), Logic4::X);
 
   const auto compare_all = [&](int step, const char* what) {
@@ -468,6 +306,7 @@ void check_change_tracking(const netlist::Netlist& nl, std::uint64_t seed,
   const auto eval_both = [&](int step, const char* what) {
     scalar.eval();
     oracle.eval();
+    ++oracle_passes;
     compare_all(step, what);
   };
 
@@ -521,6 +360,7 @@ void check_change_tracking(const netlist::Netlist& nl, std::uint64_t seed,
       case 6:
         scalar.tick();
         oracle.tick();
+        ++oracle_passes;
         compare_all(step, "tick");
         break;
       default:
@@ -537,6 +377,9 @@ void check_change_tracking(const netlist::Netlist& nl, std::uint64_t seed,
   }
   EXPECT_GT(scalar.sweep_stats().run, 0u);
   EXPECT_GT(scalar.sweep_stats().skipped, 0u);
+  EXPECT_EQ(oracle.stats().eval_passes, oracle_passes);
+  EXPECT_EQ(oracle.stats().cell_evals,
+            oracle_passes * lev->comb_order().size());
 }
 
 TEST(GateSimChangeTracking, MatchesFullSweepOnRandomCores) {

@@ -40,6 +40,30 @@ netlist::NetId net_by_name(const netlist::Netlist& nl,
   return netlist::kNoNet;
 }
 
+TEST(SocBuilder, RejectsTwoConnectionsIntoOnePin) {
+  SocBuilder b(4);
+  b.add_scan_core("a", small_core(1, 1));
+  b.add_scan_core("b", small_core(2, 1));
+  b.connect("a", 0, "b", 1);
+  b.connect("a", 1, "b", 1);  // second driver of b's input pin 1
+  try {
+    (void)b.build();
+    FAIL() << "two connections into one pin were accepted";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("core b"), std::string::npos) << what;
+    EXPECT_NE(what.find("pin 1"), std::string::npos) << what;
+  }
+
+  // Distinct destination pins, and one source fanning out, stay legal.
+  SocBuilder ok(4);
+  ok.add_scan_core("a", small_core(1, 1));
+  ok.add_scan_core("b", small_core(2, 1));
+  ok.connect("a", 0, "b", 0);
+  ok.connect("a", 0, "b", 1);
+  EXPECT_NE(ok.build(), nullptr);
+}
+
 TEST(SocBuilderTest, AssemblesFigureOneStyleSoc) {
   SocBuilder b(8);
   b.add_scan_core("core1", small_core(1, 2));

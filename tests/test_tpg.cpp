@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "netlist/builder.hpp"
 #include "netlist/gatesim.hpp"
@@ -288,54 +289,71 @@ TEST(FaultSimTest, GoodResponseMatchesDirectSimulation) {
 }
 
 TEST(FaultSimTest, BatchedGoodResponsesMatchScalarSimulation) {
-  // 150 patterns: two full 64-lane passes and a partial third, with both
-  // pinned and free inputs, against the scalar GateSim as reference.
-  SyntheticCoreSpec spec;
-  spec.seed = 12;
-  spec.n_inputs = 4;
-  spec.n_outputs = 5;
-  spec.n_flipflops = 9;
-  spec.n_gates = 40;
-  const SyntheticCore core = make_synthetic_core(spec);
-  FaultSimulator fsim(core.netlist);
-  fsim.pin_input("scan_en", false);
-  fsim.pin_input("si0", true);
+  // 40 seeded cores over the ranges the floor's JobFactory draws (8..16
+  // flip-flops, 3..4 gates per flip-flop, 1..3 chains; 4 inputs there,
+  // 2..6 here), each graded in batches of 1, 63, 64, 65 and 129 patterns
+  // to hit the 64-lane boundaries, with pinned and free inputs, against
+  // the scalar GateSim as reference.
+  Rng spec_rng(2026);
+  for (std::uint64_t s = 0; s < 40; ++s) {
+    SyntheticCoreSpec spec;
+    spec.seed = 100 + s;
+    spec.n_inputs = 2 + spec_rng.below(5);
+    spec.n_outputs = 4;
+    spec.n_flipflops = 8 + spec_rng.below(9);
+    spec.n_gates = 3 * spec.n_flipflops + spec_rng.below(spec.n_flipflops);
+    spec.n_chains = 1 + spec_rng.below(3);
+    const SyntheticCore core = make_synthetic_core(spec);
+    FaultSimulator fsim(core.netlist);
+    fsim.pin_input("scan_en", false);
+    fsim.pin_input("si0", true);
+    for (std::size_t c = 1; c < spec.n_chains; ++c)
+      fsim.pin_input("si" + std::to_string(c), false);
 
-  Rng rng(5);
-  const PatternSet patterns =
-      PatternSet::random(fsim.pattern_width(), 150, rng);
-  std::vector<const BitVector*> batch;
-  for (std::size_t p = 0; p < patterns.size(); ++p)
-    batch.push_back(&patterns.at(p));
-  const std::vector<BitVector> responses = fsim.good_responses(batch);
-  ASSERT_EQ(responses.size(), patterns.size());
+    netlist::GateSim ref(core.netlist);
+    const netlist::Netlist& nl = ref.design();
+    const auto reference = [&](const BitVector& pattern) {
+      // Pattern image: free inputs in port order, then flip-flops.
+      std::size_t bit = 0;
+      for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+        const std::string& name = nl.inputs()[i].name;
+        if (name == "si0")
+          ref.set_input_index(i, Logic4::One);
+        else if (name == "scan_en" || name.rfind("si", 0) == 0)
+          ref.set_input_index(i, Logic4::Zero);
+        else
+          ref.set_input_index(i, to_logic(pattern.get(bit++)));
+      }
+      for (std::size_t f = 0; f < ref.dff_count(); ++f)
+        ref.set_dff_state(f, to_logic(pattern.get(bit++)));
+      ref.eval();
+      // Response image: primary outputs, then flip-flop D pins.
+      BitVector want(fsim.response_width());
+      std::size_t r = 0;
+      for (std::size_t o = 0; o < nl.outputs().size(); ++o)
+        want.set(r++, ref.output_index(o) == Logic4::One);
+      for (const netlist::CellId id : ref.levelized()->dff_cells())
+        want.set(r++, ref.net_value(nl.cell(id).in[0]) == Logic4::One);
+      return want;
+    };
 
-  netlist::GateSim ref(core.netlist);
-  const netlist::Netlist& nl = ref.design();
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    // Pattern image: free inputs in port order, then flip-flops.
-    std::size_t bit = 0;
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      const std::string& name = nl.inputs()[i].name;
-      if (name == "scan_en")
-        ref.set_input_index(i, Logic4::Zero);
-      else if (name == "si0")
-        ref.set_input_index(i, Logic4::One);
-      else
-        ref.set_input_index(i, to_logic(patterns.at(p).get(bit++)));
+    Rng rng(5 + s);
+    for (const std::size_t count : {1u, 63u, 64u, 65u, 129u}) {
+      const PatternSet patterns =
+          PatternSet::random(fsim.pattern_width(), count, rng);
+      std::vector<const BitVector*> batch;
+      for (std::size_t p = 0; p < patterns.size(); ++p)
+        batch.push_back(&patterns.at(p));
+      const std::vector<BitVector> responses = fsim.good_responses(batch);
+      ASSERT_EQ(responses.size(), patterns.size());
+      for (std::size_t p = 0; p < patterns.size(); ++p) {
+        const BitVector want = reference(patterns.at(p));
+        ASSERT_EQ(responses[p], want)
+            << "core " << s << " batch " << count << " pattern " << p;
+        ASSERT_EQ(fsim.good_response(patterns.at(p)), want)
+            << "core " << s << " batch " << count << " pattern " << p;
+      }
     }
-    for (std::size_t f = 0; f < ref.dff_count(); ++f)
-      ref.set_dff_state(f, to_logic(patterns.at(p).get(bit++)));
-    ref.eval();
-    // Response image: primary outputs, then flip-flop D pins.
-    BitVector want(fsim.response_width());
-    std::size_t r = 0;
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o)
-      want.set(r++, ref.output_index(o) == Logic4::One);
-    for (const netlist::CellId id : ref.levelized()->dff_cells())
-      want.set(r++, ref.net_value(nl.cell(id).in[0]) == Logic4::One);
-    EXPECT_EQ(responses[p], want) << "pattern " << p;
-    EXPECT_EQ(fsim.good_response(patterns.at(p)), want) << "pattern " << p;
   }
 }
 
