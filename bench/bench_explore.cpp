@@ -24,7 +24,7 @@
 /// count T a budget of 600*T nodes — the work a fixed wall-clock slice
 /// buys on a T-way search — and records the certified gap trajectory;
 /// the *throughput rows* run one fixed 4800-node search at every T, which
-/// deterministic mode guarantees is byte-identical, so the wall-time
+/// the search guarantees is byte-identical, so the wall-time
 /// ratio is a pure measure of engine scaling.
 
 #include <chrono>

@@ -7,7 +7,7 @@
 ///                 [--scenario-mix scan:4,bist:2,hier:1,maint:1]
 ///                 [--strategy single|per_core|greedy|phased|exact|branch_bound]
 ///                 [--patterns-per-ff K] [--queue-capacity Q] [--cache C]
-///                 [--sched-threads T] [--stream] [--summary]
+///                 [--stream] [--summary]
 ///                 [--stats-json FILE] [--trace FILE]
 ///                 [--stats-interval-ms N]
 ///
@@ -17,12 +17,9 @@
 /// instead of the batch adapter: jobs are submitted while the workers run
 /// (throttled by --queue-capacity) and results are printed as they
 /// complete, in arrival order. --cache sets the per-worker verdict-cache
-/// capacity (0 disables). --sched-threads sets each job's branch-and-bound
-/// scheduling thread pool (a pure engine knob; 0 = one per hardware
-/// thread). --summary additionally prints the deterministic aggregate
-/// summary — the text that is guaranteed byte-identical for any worker
-/// count, batch or streaming, cache on or off, any --sched-threads, at a
-/// fixed seed.
+/// capacity (0 disables). --summary additionally prints the deterministic
+/// aggregate summary — the text that is guaranteed byte-identical for any
+/// worker count, batch or streaming, cache on or off, at a fixed seed.
 ///
 /// Telemetry (docs/OBSERVABILITY.md):
 ///   --stats-json FILE       write the final FloorStats snapshot as
@@ -73,8 +70,7 @@ constexpr const char* kOptionsHelp =
     " [--scenario-mix scan:4,bist:2,hier:1,maint:1]"
     " [--strategy single|per_core|greedy|phased|exact|branch_bound]"
     " [--patterns-per-ff K] [--queue-capacity Q] [--cache C]"
-    " [--sched-threads T] [--stream]"
-    " [--summary]"
+    " [--stream] [--summary]"
     " [--stats-json FILE] [--trace FILE] [--stats-interval-ms N]"
     " [--health] [--health-interval-ms N] [--watchdog-ms N]"
     " [--incident-dir DIR] [--health-json FILE] [--prom FILE]";
@@ -264,8 +260,6 @@ int main(int argc, char** argv) {
         config.queue_capacity = std::stoul(cli.value());
       else if (cli.is("--cache"))
         config.cache_capacity = std::stoul(cli.value());
-      else if (cli.is("--sched-threads"))
-        config.sched_threads = std::stoul(cli.value());
       else if (cli.is("--stream")) stream = cli.boolean();
       else if (cli.is("--summary")) summary = cli.boolean();
       else if (cli.is("--stats-json")) telemetry.stats_json = cli.value();

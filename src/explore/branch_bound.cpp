@@ -30,16 +30,14 @@ struct Node {
 };
 
 /// Min-heap entry: (bound, arena index). The index tie-break makes each
-/// shard's expansion order — and with it the whole deterministic-mode
-/// search — reproducible.
+/// shard's expansion order — and with it the whole search — reproducible.
 using OpenEntry = std::pair<std::uint64_t, std::uint32_t>;
 using OpenHeap = std::priority_queue<OpenEntry, std::vector<OpenEntry>,
                                      std::greater<OpenEntry>>;
 
-/// Frontier shards in deterministic mode: fixed, so the round structure
-/// (and therefore every published result) is independent of the thread
-/// count. Non-deterministic mode shards one heap per thread instead.
-constexpr std::size_t kDetShards = 16;
+/// Frontier shards: fixed, so the round structure (and therefore every
+/// published result) is independent of the thread count.
+constexpr std::size_t kShards = 16;
 /// Nodes popped from each shard per round. Large enough to amortize the
 /// round barrier, small enough that incumbent snapshots stay fresh.
 constexpr std::size_t kQuantum = 64;
@@ -190,7 +188,6 @@ class Search {
       best_total_ = o.total;
       best_groups_ = std::move(o.groups);
       ++improvements_;
-      live_best_.store(best_total_, std::memory_order_relaxed);
     }
   }
 
@@ -202,29 +199,11 @@ class Search {
     apply_offer(std::move(o));
   }
 
-  /// Lock-free incumbent-cost publication (non-deterministic mode): an
-  /// atomic min so sibling workers prune against improvements from this
-  /// round immediately instead of at the next snapshot.
-  void publish(std::uint64_t total) {
-    std::uint64_t cur = live_best_.load(std::memory_order_relaxed);
-    while (total < cur && !live_best_.compare_exchange_weak(
-                              cur, total, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// The incumbent value workers prune against: the round-start snapshot
-  /// in deterministic mode, the live atomic otherwise.
-  std::uint64_t cutoff() const {
-    return config_.deterministic
-               ? snapshot_best_
-               : live_best_.load(std::memory_order_relaxed);
-  }
-
   // --- round work (parallel phase; pure w.r.t. round-start state) --------
 
-  void price_leaf(const RoundItem& item, ItemResult& r);
+  void price_leaf(const RoundItem& item, ItemResult& r) const;
   void expand(const RoundItem& item, ItemResult& r) const;
-  void run_dive(const RoundItem& item, ItemResult& r);
+  void run_dive(const RoundItem& item, ItemResult& r) const;
 
   /// Claims and processes batch items until the round is drained. Run by
   /// every pool thread and the caller; items are claimed via an atomic
@@ -260,13 +239,12 @@ class Search {
   std::uint64_t max_single_ = 0;
 
   std::vector<Node> arena_;
-  std::size_t shards_ = 1;
-  std::vector<OpenHeap> heaps_;
+  std::vector<OpenHeap> heaps_ = std::vector<OpenHeap>(kShards);
   std::size_t next_shard_ = 0;  ///< round-robin cursor for new entries
 
   std::uint64_t best_total_ = UINT64_MAX;
   std::vector<std::vector<std::size_t>> best_groups_;
-  std::atomic<std::uint64_t> live_best_{UINT64_MAX};
+  /// The incumbent workers prune against: best_total_ at round start.
   std::uint64_t snapshot_best_ = UINT64_MAX;
 
   std::vector<RoundItem> batch_;
@@ -279,18 +257,17 @@ class Search {
   std::uint64_t dives_ = 0;
 };
 
-void Search::price_leaf(const RoundItem& item, ItemResult& r) {
+void Search::price_leaf(const RoundItem& item, ItemResult& r) const {
   const std::vector<std::uint16_t> leaf_groups = assignment_of(item.id);
   std::vector<std::vector<std::size_t>> groups(arena_[item.id].groups_used);
   for (std::size_t i = 0; i < leaf_groups.size(); ++i)
     groups[leaf_groups[i]].push_back(scan_[i]);
   r.leaf.total = price_scan_partition(scheduler_, groups, bist_);
   r.leaf.groups = std::move(groups);
-  if (!config_.deterministic) publish(r.leaf.total);
 }
 
 void Search::expand(const RoundItem& item, ItemResult& r) const {
-  const std::uint64_t cut = cutoff();
+  const std::uint64_t cut = snapshot_best_;
   const Node node = arena_[item.id];
 
   // Rebuild the prefix state (group membership + incremental bounds).
@@ -334,12 +311,11 @@ void Search::expand(const RoundItem& item, ItemResult& r) const {
   }
 }
 
-void Search::run_dive(const RoundItem& item, ItemResult& r) {
+void Search::run_dive(const RoundItem& item, ItemResult& r) const {
   std::vector<std::vector<std::size_t>> groups =
       complete_greedily(assignment_of(item.id), arena_[item.id].groups_used);
   r.dive.total = price_scan_partition(scheduler_, groups, bist_);
   r.dive.groups = std::move(groups);
-  if (!config_.deterministic) publish(r.dive.total);
 }
 
 void Search::select_round(std::size_t dive_interval) {
@@ -349,7 +325,7 @@ void Search::select_round(std::size_t dive_interval) {
       config_.node_budget > nodes_expanded_
           ? config_.node_budget - nodes_expanded_
           : 0;
-  for (std::size_t s = 0; s < shards_ && remaining > 0; ++s) {
+  for (std::size_t s = 0; s < kShards && remaining > 0; ++s) {
     std::size_t taken = 0;
     while (taken < kQuantum && remaining > 0 && !heaps_[s].empty()) {
       const auto [f, id] = heaps_[s].top();
@@ -401,7 +377,7 @@ void Search::merge_round(BranchBoundResult& result) {
       arena_.push_back(child);
       heaps_[next_shard_].push(
           {child.f, static_cast<std::uint32_t>(arena_.size() - 1)});
-      next_shard_ = (next_shard_ + 1) % shards_;
+      next_shard_ = (next_shard_ + 1) % kShards;
     }
     if (item.dive) apply_offer(std::move(r.dive));
   }
@@ -411,11 +387,11 @@ void Search::rebalance(BranchBoundResult& result) {
   // Deterministic work rebalancing at the round boundary: every shard
   // that ran dry steals the cheapest half of the fullest frontier, so no
   // worker idles while another drowns.
-  for (std::size_t s = 0; s < shards_; ++s) {
+  for (std::size_t s = 0; s < kShards; ++s) {
     if (!heaps_[s].empty()) continue;
     std::size_t fullest = s;
     std::size_t fullest_size = 0;
-    for (std::size_t t = 0; t < shards_; ++t) {
+    for (std::size_t t = 0; t < kShards; ++t) {
       if (heaps_[t].size() > fullest_size) {
         fullest_size = heaps_[t].size();
         fullest = t;
@@ -438,9 +414,6 @@ BranchBoundResult Search::run() {
       config_.threads != 0
           ? config_.threads
           : std::max(1u, std::thread::hardware_concurrency());
-  shards_ = config_.deterministic ? kDetShards
-                                  : std::max<std::size_t>(threads, 1);
-  heaps_.assign(shards_, OpenHeap{});
 
   // Incumbent seeding: a bound-greedy completion from the empty prefix
   // always; the classical heuristics' partitions too when the instance is
@@ -467,7 +440,7 @@ BranchBoundResult Search::run() {
 
   arena_.push_back(Node{0, 0, 0, 0, bound(0, 0)});
   heaps_[0].push({arena_[0].f, 0});
-  next_shard_ = 1 % shards_;
+  next_shard_ = 1;
 
   // Worker pool: persistent threads, two-phase barrier per round. The
   // caller is participant 0, so `threads == 1` never spawns.

@@ -17,8 +17,8 @@
 /// calls for.
 ///
 /// ## Parallel search (BranchBoundConfig::threads)
-/// The frontier is sharded into per-thread local min-heaps over an
-/// arena of shared prefix nodes. The search runs in synchronous rounds:
+/// The frontier is sharded into 16 local min-heaps over an arena of
+/// shared prefix nodes. The search runs in synchronous rounds:
 /// a serial selection phase pops the cheapest still-viable nodes from
 /// every shard, workers expand / price them in parallel against a
 /// round-start incumbent snapshot, and a serial merge applies children,
@@ -35,14 +35,11 @@
 /// shard tops certifies the reported lower bound.
 ///
 /// ## Determinism
-/// In deterministic mode (the default) the shard count and the whole
-/// round structure are independent of the thread count, workers compute
-/// pure functions of round-start snapshots, and the merge is serial — so
-/// the incumbent schedule, optimality verdict, certified lower bound and
-/// all counters are byte-identical at any `threads` value. That is what
-/// makes `threads` safe to exclude from floor cache keys (see
-/// floor::run_job). Non-deterministic mode trades this for eager
-/// lock-free incumbent publication (atomic min) and live pruning.
+/// The shard count (16) and the whole round structure are independent of
+/// the thread count, workers prune against the round-start incumbent and
+/// compute pure functions of round-start state, and the merge is serial —
+/// so the incumbent schedule, optimality verdict, certified lower bound
+/// and all counters are byte-identical at any `threads` value.
 
 #pragma once
 
@@ -68,15 +65,9 @@ struct BranchBoundConfig {
   /// huge instances).
   std::size_t max_dives = 16;
   /// Worker threads for the search; 1 = serial, 0 = one per hardware
-  /// thread. Expansion, leaf pricing and greedy dives all parallelize.
+  /// thread. Expansion, leaf pricing and greedy dives all parallelize;
+  /// the result is byte-identical at every value.
   std::size_t threads = 1;
-  /// Fixed round structure (16 frontier shards, synchronous rounds,
-  /// serial merge): incumbent, optimality verdict, certified lower bound
-  /// and every counter are byte-identical at any thread count. When
-  /// false, workers publish incumbent improvements immediately (lock-free
-  /// atomic min) and prune against the live value — often faster, but
-  /// results may vary run to run on tie-broken instances.
-  bool deterministic = true;
 };
 
 /// Search outcome.
@@ -115,8 +106,7 @@ class BranchBoundScheduler {
   explicit BranchBoundScheduler(const sched::SessionScheduler& scheduler,
                                 BranchBoundConfig config = {});
 
-  /// Runs the search (const — every call is independent, and in
-  /// deterministic mode identical).
+  /// Runs the search (const — every call is independent and identical).
   [[nodiscard]] BranchBoundResult run() const;
 
  private:

@@ -145,7 +145,6 @@ tpg::SyntheticCoreSpec job_core_spec(Rng& rng, std::size_t chains) {
 /// Scheduled scenarios (ScanOnly / BistJoin): synthesize the SoC, compile
 /// via the analytic scheduler, then execute cycle-accurately.
 void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
-                   bool verify, std::size_t sched_threads,
                    const JobTelemetry& obs, JobResult& result) {
   StageTimer timer(result, obs);
 
@@ -186,9 +185,8 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   soc::CompiledProgram program;
   program.specs = soc::specs_of(*soc, spec.patterns_per_ff);
   sched::ScheduleStats sched_stats;
-  program.schedule =
-      sched::schedule_with(program.specs, soc->bus().width(), spec.strategy,
-                           &sched_stats, sched_threads);
+  program.schedule = sched::schedule_with(
+      program.specs, soc->bus().width(), spec.strategy, &sched_stats);
   result.engine.sched_nodes_expanded = sched_stats.nodes_expanded;
   result.engine.sched_prunes = sched_stats.prunes;
   result.engine.sched_improvements = sched_stats.incumbent_improvements;
@@ -198,12 +196,10 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
   timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify) {
-    verify::LintReport lint = lint_soc(*soc);
-    lint.merge(verify::lint_schedule(program.schedule, program.specs,
-                                     soc->bus().width()));
-    if (!verify_stage(lint, timer, result)) return;
-  }
+  verify::LintReport lint = lint_soc(*soc);
+  lint.merge(verify::lint_schedule(program.schedule, program.specs,
+                                   soc->bus().width()));
+  if (!verify_stage(lint, timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   soc::SocTester tester(*soc);
@@ -228,8 +224,8 @@ void run_scheduled(const JobSpec& spec, bool with_engines, Rng& rng,
 /// scheduler cannot express hierarchy, so the session is assembled by hand
 /// (charged to the Compile stage) and predicted directly with the time
 /// model.
-void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
-                      const JobTelemetry& obs, JobResult& result) {
+void run_hierarchical(const JobSpec& spec, Rng& rng, const JobTelemetry& obs,
+                      JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -281,7 +277,7 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
   timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify && !verify_stage(lint_soc(*soc), timer, result)) return;
+  if (!verify_stage(lint_soc(*soc), timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   const soc::ScanSessionResult r = tester.run_scan_session(session);
@@ -304,8 +300,8 @@ void run_hierarchical(const JobSpec& spec, Rng& rng, bool verify,
 /// scan-test a logic core in the same window. Passing requires the MBIST
 /// verdict, clean scan responses, and zero traffic read-back errors. The
 /// interleaved mission/test windows are all charged to Simulate.
-void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
-                     const JobTelemetry& obs, JobResult& result) {
+void run_maintenance(const JobSpec& spec, Rng& rng, const JobTelemetry& obs,
+                     JobResult& result) {
   StageTimer timer(result, obs);
 
   // ---- Stage: Build -------------------------------------------------------
@@ -335,7 +331,7 @@ void run_maintenance(const JobSpec& spec, Rng& rng, bool verify,
   timer.finish(Stage::Compile);
 
   // ---- Stage: Verify ------------------------------------------------------
-  if (verify && !verify_stage(lint_soc(*soc), timer, result)) return;
+  if (!verify_stage(lint_soc(*soc), timer, result)) return;
 
   // ---- Stage: Simulate ----------------------------------------------------
   traffic.set_enabled(true);
@@ -470,8 +466,7 @@ void emit_job_telemetry(const JobTelemetry& obs, const JobResult& result,
 
 }  // namespace
 
-JobResult run_job(const JobSpec& spec, VerdictCache* cache, bool verify,
-                  std::size_t sched_threads,
+JobResult run_job(const JobSpec& spec, VerdictCache* cache,
                   const JobTelemetry& obs) noexcept {
   const std::uint64_t job_start_us =
       obs.trace != nullptr ? obs.trace->now_us() : 0;
@@ -496,18 +491,16 @@ JobResult run_job(const JobSpec& spec, VerdictCache* cache, bool verify,
     Rng rng(spec.seed);
     switch (spec.scenario) {
       case ScenarioKind::ScanOnly:
-        run_scheduled(spec, /*with_engines=*/false, rng, verify,
-                      sched_threads, obs, result);
+        run_scheduled(spec, /*with_engines=*/false, rng, obs, result);
         break;
       case ScenarioKind::BistJoin:
-        run_scheduled(spec, /*with_engines=*/true, rng, verify, sched_threads,
-                      obs, result);
+        run_scheduled(spec, /*with_engines=*/true, rng, obs, result);
         break;
       case ScenarioKind::Hierarchical:
-        run_hierarchical(spec, rng, verify, obs, result);
+        run_hierarchical(spec, rng, obs, result);
         break;
       case ScenarioKind::Maintenance:
-        run_maintenance(spec, rng, verify, obs, result);
+        run_maintenance(spec, rng, obs, result);
         break;
     }
     // Clean runs qualify the recipe for verdict reuse; errors never do

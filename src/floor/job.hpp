@@ -61,8 +61,7 @@ inline constexpr std::size_t kScenarioCount = 4;
 /// session setup to Compile and leave Schedule at zero. Verify is the
 /// static admission gate (src/verify/): it lints every generated netlist
 /// and the compiled schedule in microseconds, so a malformed design fails
-/// fast instead of burning the Simulate stage; FloorConfig::verify (or
-/// the run_job parameter) skips it.
+/// fast instead of burning the Simulate stage.
 enum class Stage {
   Build,     ///< synthesize the SoC (cores, wrappers, CAS-BUS)
   Schedule,  ///< analytic scheduling (sched::schedule_with)
@@ -203,12 +202,9 @@ struct JobTelemetry {
 /// per-stage wall time in JobResult::stage_seconds. Never throws: scenario
 /// failures and precondition violations come back as JobResult::error.
 ///
-/// When \p verify is true (the default), the Verify stage lints every
-/// generated core netlist and the compiled schedule (src/verify/); an
-/// error-grade finding fails the job with the lint summary in
-/// JobResult::error and Simulate never runs. The lint functions are pure,
-/// so verify-on and verify-off runs of an admissible spec produce equal
-/// deterministic result fields.
+/// The Verify stage lints every generated core netlist and the compiled
+/// schedule (src/verify/); an error-grade finding fails the job with the
+/// lint summary in JobResult::error and Simulate never runs.
 ///
 /// When \p cache is non-null (see verdict_cache.hpp), a recipe that
 /// already ran cleanly skips the whole pipeline and returns its qualified
@@ -219,19 +215,10 @@ struct JobTelemetry {
 /// must be private to the calling thread (the floor gives each worker its
 /// own).
 ///
-/// \p sched_threads is the thread count of the Schedule stage's
-/// branch-and-bound search when the spec selects Strategy::BranchBound or
-/// Strategy::Exact (1 = serial, 0 = one per hardware thread; other
-/// strategies ignore it). The search runs in deterministic mode, so the
-/// schedule is byte-identical at any thread count, which is what keeps it
-/// out of JobSpec::cache_key.
-///
 /// \p obs carries the floor's telemetry sinks (JobTelemetry); the default
 /// runs with telemetry off. Spans and counters are emitted per executed
 /// stage — a verdict-tier hit emits none (no stage ran).
 [[nodiscard]] JobResult run_job(const JobSpec& spec, VerdictCache* cache,
-                                bool verify = true,
-                                std::size_t sched_threads = 1,
                                 const JobTelemetry& obs = {}) noexcept;
 
 /// Cache-less convenience overload.

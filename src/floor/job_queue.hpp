@@ -70,8 +70,6 @@ struct QueueStats {
   /// close()); engages - releases is the number currently blocked plus
   /// those that exited via close().
   std::size_t backpressure_releases = 0;
-  /// Steals charged to the shard they were stolen *from*.
-  std::vector<std::size_t> steals_per_shard;
 };
 
 class JobQueue {
@@ -82,8 +80,7 @@ class JobQueue {
   explicit JobQueue(std::size_t shards = 1, std::size_t capacity = 0)
       : shards_(shards == 0 ? 1 : shards),
         capacity_(capacity),
-        queues_(shards_),
-        steals_per_shard_(shards_, 0) {}
+        queues_(shards_) {}
 
   /// Enqueues one job, assigning it the next arrival slot; blocks while
   /// the queue is at capacity. Returns false (dropping the job) when the
@@ -176,7 +173,6 @@ class JobQueue {
     s.steals = steals_;
     s.backpressure_engages = bp_engages_;
     s.backpressure_releases = bp_releases_;
-    s.steals_per_shard = steals_per_shard_;
     return s;
   }
 
@@ -208,7 +204,6 @@ class JobQueue {
     CASBUS_ASSERT(!queues_[victim].empty(),
                   "JobQueue: size_ > 0 but every shard is empty");
     ++steals_;
-    ++steals_per_shard_[victim];
     SlottedJob job = std::move(queues_[victim].back());
     queues_[victim].pop_back();
     return job;
@@ -229,7 +224,6 @@ class JobQueue {
   std::size_t steals_ = 0;
   std::size_t bp_engages_ = 0;
   std::size_t bp_releases_ = 0;
-  std::vector<std::size_t> steals_per_shard_;
 };
 
 }  // namespace casbus::floor

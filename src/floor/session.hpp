@@ -27,9 +27,6 @@
 /// off, and to an equivalent batch TestFloor::run over the same list.
 /// Caches cannot break this because compilation is pure (see job.hpp);
 /// stealing cannot because results land by slot, never by completion.
-/// Nor can sched_threads: the Schedule stage's search is deterministic at
-/// any thread count (see run_job in job.hpp and the measured cost model in
-/// docs/PERFORMANCE.md).
 
 #pragma once
 
@@ -73,19 +70,6 @@ struct FloorConfig {
   /// that already ran cleanly — see verdict_cache.hpp); 0 disables
   /// caching.
   std::size_t cache_capacity = 16;
-  /// Runs the static Verify stage (netlist + schedule lint, src/verify/)
-  /// on every job before Simulate; error-grade findings fail the job
-  /// without simulating. Cheap (µs per job) — disable only to measure its
-  /// cost or to force a known-bad design through the tester.
-  bool verify = true;
-  /// Branch-and-bound search threads inside each job's Schedule stage
-  /// (run_job's sched_threads; 1 = serial, 0 = one per hardware thread;
-  /// only Strategy::BranchBound and Strategy::Exact jobs use it).
-  /// Multiplies with `workers`: prefer it over more workers only when a
-  /// floor runs few, search-heavy jobs. The search runs
-  /// deterministically, so this cannot change any deterministic result or
-  /// the deterministic_summary() text either.
-  std::size_t sched_threads = 1;
   /// Enables the metrics registry (src/obs/): per-thread-sharded counters
   /// and stage-latency histograms, surfaced by stats_snapshot(). Pure
   /// observation — cannot change any deterministic result or the

@@ -50,9 +50,7 @@ struct FloorMetricIds {
   obs::MetricId sim_core_sweeps_skipped{};  ///< floor.sim.core.sweeps_skipped
   obs::MetricId sim_kernel_evals{};     ///< floor.sim.kernel.evals
   obs::MetricId sim_kernel_passes{};    ///< floor.sim.kernel.passes
-  // Branch-and-bound scheduling effort. Per-thread-sharded like every
-  // registry counter: B&B worker threads aggregate into the same stable
-  // names regardless of FloorConfig::sched_threads.
+  // Branch-and-bound scheduling effort (the Schedule stage's search).
   obs::MetricId sched_nodes{};          ///< floor.sched.nodes_expanded
   obs::MetricId sched_prunes{};         ///< floor.sched.prunes
   obs::MetricId sched_improvements{};   ///< floor.sched.improvements

@@ -16,12 +16,10 @@ FaultSim::FaultSim(std::shared_ptr<const LevelizedNetlist> lev)
 }
 
 void FaultSim::set_observation(bool outputs, bool dff_next_states) {
-  observe_outputs_ = outputs;
-  observe_dffs_ = dff_next_states;
   obs_nets_.clear();
-  if (observe_outputs_)
+  if (outputs)
     for (const Port& p : design().outputs()) obs_nets_.push_back(p.net);
-  if (observe_dffs_)
+  if (dff_next_states)
     for (const CellId id : sim_.levelized()->dff_cells())
       obs_nets_.push_back(design().cell(id).in[0]);  // D pin = next state
   good_valid_ = false;
@@ -147,7 +145,6 @@ FaultCampaignReport run_fault_campaign(
   const auto grade_shard = [&](std::size_t lo, std::size_t hi,
                                SimStats* stats_out) {
     FaultSim fs(lev);
-    fs.set_observation(opts.observe_outputs, opts.observe_dffs);
     StuckAtFault batch[FaultSim::kBatch];
     std::size_t batch_idx[FaultSim::kBatch];
     std::size_t remaining = hi - lo;

@@ -117,8 +117,6 @@ class FaultSim {
   std::vector<Logic64> good_words_; // good_lanes() result
   std::vector<int> good_;           // cached good response (-1 = undriven)
   bool good_valid_ = false;
-  bool observe_outputs_ = true;
-  bool observe_dffs_ = true;
 };
 
 /// Enumerates the stuck-at-0/1 fault universe of \p nl: two faults per
@@ -134,9 +132,6 @@ struct FaultCampaignOptions {
   /// Worker threads; 0 means one per hardware thread. The result is
   /// byte-identical for every value (see the file comment).
   std::size_t threads = 1;
-  /// Observation points, as in FaultSim::set_observation.
-  bool observe_outputs = true;
-  bool observe_dffs = true;
 };
 
 /// Per-fault outcome of a campaign, merged in fault-index order.

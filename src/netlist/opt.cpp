@@ -314,14 +314,13 @@ class Rewriter {
 
 }  // namespace
 
-Netlist optimize(const Netlist& in, const OptOptions& options) {
+Netlist optimize(const Netlist& in) {
+  constexpr int kMaxIterations = 32;
   Rewriter rw(in);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    bool changed = false;
-    if (options.constant_fold || options.collapse_buffers)
-      changed |= rw.fold_pass();
-    if (options.share_duplicates) changed |= rw.share_pass();
-    if (options.dead_cell_elim) changed |= rw.dce_pass();
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    bool changed = rw.fold_pass();
+    changed |= rw.share_pass();
+    changed |= rw.dce_pass();
     if (!changed) break;
   }
   return rw.build(in.name());

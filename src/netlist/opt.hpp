@@ -13,18 +13,12 @@
 
 namespace casbus::netlist {
 
-/// Pass selection for optimize().
-struct OptOptions {
-  bool constant_fold = true;   ///< fold constants, algebraic identities
-  bool share_duplicates = true;///< structural CSE with commutative matching
-  bool collapse_buffers = true;///< forward Buf outputs to their inputs
-  bool dead_cell_elim = true;  ///< drop logic not reaching an output/DFF
-  int max_iterations = 32;     ///< fixpoint cap (each pass is monotone)
-};
-
 /// Returns an optimized copy of \p in; \p in is left untouched.
+/// Runs constant folding and buffer collapsing, structural sharing
+/// (commutative CSE) and dead-logic removal until none of them changes
+/// anything (each pass is monotone; capped at 32 rounds).
 /// The result computes the same function on all primary outputs
 /// (X/Z-pessimism of Buf clamping aside, which synthesis also discards).
-Netlist optimize(const Netlist& in, const OptOptions& options = {});
+Netlist optimize(const Netlist& in);
 
 }  // namespace casbus::netlist

@@ -38,8 +38,8 @@ Strategy strategy_from_name(std::string_view name) {
   return Strategy::Greedy;  // unreachable
 }
 
-Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
-                                         std::size_t sched_threads) const {
+Schedule SessionScheduler::schedule_with(Strategy s,
+                                         ScheduleStats* stats) const {
   switch (s) {
     case Strategy::Single: return single_session();
     case Strategy::PerCore: return per_core_sessions();
@@ -49,8 +49,6 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
     case Strategy::Exact:
     case Strategy::BranchBound: {
       explore::BranchBoundConfig bb;
-      bb.threads = sched_threads;  // deterministic mode stays on: the
-                                   // schedule must not depend on threads
       if (s == Strategy::Exact) {
         const auto scan_cores = static_cast<std::size_t>(
             std::count_if(cores_.begin(), cores_.end(),
@@ -78,10 +76,8 @@ Schedule SessionScheduler::schedule_with(Strategy s, ScheduleStats* stats,
 }
 
 Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
-                       unsigned bus_width, Strategy s, ScheduleStats* stats,
-                       std::size_t sched_threads) {
-  return SessionScheduler(cores, bus_width)
-      .schedule_with(s, stats, sched_threads);
+                       unsigned bus_width, Strategy s, ScheduleStats* stats) {
+  return SessionScheduler(cores, bus_width).schedule_with(s, stats);
 }
 
 SessionScheduler::SessionScheduler(std::vector<CoreTestSpec> cores,

@@ -140,15 +140,10 @@ class SessionScheduler {
   /// beyond kExactMaxScanCores scan cores; Strategy::BranchBound runs the
   /// default-budget search. Both always return a chip-synchronous
   /// partition schedule. A non-null \p stats receives the strategy's
-  /// search-effort counters.
-  /// \p sched_threads drives the branch-and-bound search's worker pool
-  /// (1 = serial, 0 = one per hardware thread) and is ignored by the
-  /// non-search strategies; the search runs in deterministic mode, so the
-  /// returned Schedule is byte-identical at any thread count — which is
-  /// what keeps this entry point memoizable (see the free overload).
+  /// search-effort counters. The search runs serially; callers that want
+  /// a parallel search use explore::BranchBoundScheduler directly.
   [[nodiscard]] Schedule schedule_with(Strategy s,
-                                       ScheduleStats* stats = nullptr,
-                                       std::size_t sched_threads = 1) const;
+                                       ScheduleStats* stats = nullptr) const;
 
   /// Cycles to reconfigure between sessions on this SoC (every CAS IR plus
   /// the wrapper ring). Computed once at construction — it depends only on
@@ -184,14 +179,11 @@ class SessionScheduler {
 
 /// Pure-function form of SessionScheduler::schedule_with: builds the
 /// scheduler and dispatches in one call. Because the result is a
-/// deterministic function of exactly (\p cores, \p bus_width, \p s) —
-/// \p sched_threads is an engine knob that cannot change it (the
-/// branch-and-bound search runs deterministically) — this is the
-/// memoizable scheduling entry point, and part of what keeps a floor job
-/// a pure function of its spec (src/floor/job.hpp).
+/// deterministic function of exactly (\p cores, \p bus_width, \p s),
+/// this is the memoizable scheduling entry point, and part of what keeps
+/// a floor job a pure function of its spec (src/floor/job.hpp).
 [[nodiscard]] Schedule schedule_with(const std::vector<CoreTestSpec>& cores,
                                      unsigned bus_width, Strategy s,
-                                     ScheduleStats* stats = nullptr,
-                                     std::size_t sched_threads = 1);
+                                     ScheduleStats* stats = nullptr);
 
 }  // namespace casbus::sched

@@ -368,7 +368,6 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
   // Per-wire stimulus stream for round r: padding then reversed composite.
   const auto build_stream = [&](unsigned w, std::size_t round) {
     BitVector stream(max_len, false);
-    std::size_t pos = max_len;  // fill composite reversed at the tail
     // Composite order: segments in bus order, chain order si->so. Position
     // p gets stream bit (max_len - 1 - p).
     std::size_t base = 0;
@@ -384,7 +383,6 @@ ScanSessionResult SocTester::run_scan_session(const ScanSession& session) {
       }
       base += seg.length;
     }
-    (void)pos;
     return stream;
   };
 
@@ -645,21 +643,6 @@ ExtestResult SocTester::run_extest(std::size_t vectors,
     if (failed[c]) result.failing.push_back(c);
   result.cycles = sim.cycle() - start_cycle;
   return result;
-}
-
-std::uint64_t SocTester::bus_order_key(const CoreRef& ref) const {
-  const CoreInstance& top = soc_.cores().at(ref.top);
-  std::uint64_t key = static_cast<std::uint64_t>(top.cas_index) << 16;
-  if (ref.child.has_value())
-    key |= 1ULL + top.hier->children.at(*ref.child).cas_index;
-  return key;
-}
-
-void SocTester::config_shift(tam::CasBusChain& chain, sim::Wire& data_in,
-                             bool bit) {
-  chain.config_wire().set(true);
-  data_in.set(bit);
-  soc_.simulation().step();
 }
 
 }  // namespace casbus::soc

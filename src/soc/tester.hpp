@@ -235,15 +235,8 @@ class SocTester {
     std::size_t length;
   };
 
-  /// Sort key giving physical order along a wire (bus order, children
-  /// after entering their parent in child-bus order).
-  [[nodiscard]] std::uint64_t bus_order_key(const CoreRef& ref) const;
-
   [[nodiscard]] CoreInstance& core_at(const CoreRef& ref);
   [[nodiscard]] const tpg::SyntheticCore& synth_of(const CoreRef& ref);
-
-  /// Pulses one shift cycle on the config chain with wire-0 data \p bit.
-  void config_shift(tam::CasBusChain& chain, sim::Wire& data_in, bool bit);
 
   /// Golden-model simulator of \p ref, created (and pinned) on first use.
   [[nodiscard]] tpg::FaultSimulator& golden_for(const CoreRef& ref);

@@ -1,5 +1,5 @@
 // The parallel branch-and-bound engine: byte-identical results at any
-// thread count in deterministic mode, optimality against the reference
+// thread count, optimality against the reference
 // enumerator (sched::reference_optimal_schedule) across every generator
 // profile, admissibility of the partition-model bounds (session floor,
 // overflow floor, BIST chunk bound) over every partition that enumerator
@@ -36,7 +36,7 @@ sched::CoreTestSpec bist_core(std::string name, std::uint64_t cycles) {
   return c;
 }
 
-/// All counters and certificate fields that deterministic mode pins.
+/// All counters and certificate fields the search pins.
 struct Fingerprint {
   std::uint64_t best_cost, lower_bound;
   std::uint64_t nodes, leaves, dives, prunes, improvements, rebalances;
@@ -57,7 +57,7 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-// In deterministic mode the shard structure, round schedule, dive points
+// The shard structure, round schedule, dive points
 // and merge order are all independent of the thread count, so *every*
 // observable — incumbent schedule, certificate, and all counters — must
 // be byte-identical from 1 thread to an oversubscribed 8.
@@ -234,39 +234,15 @@ TEST(ParallelBB, LintCleanSweepOverParallelSchedules) {
   }
 }
 
-// Free-running mode (deterministic = false) trades reproducibility for
-// eager incumbent publication; its results must still be correct — a
-// coherent certificate, and the exhaustive optimum when the space fits in
-// the budget.
-TEST(ParallelBB, FreeModeStillFindsTheOptimum) {
-  const GeneratedSoc soc = SocGenerator(3).generate(9, SocProfile::Mixed);
-  const sched::SessionScheduler s(soc.cores, soc.suggested_width);
-  const sched::Schedule reference = sched::reference_optimal_schedule(s);
-  BranchBoundConfig config;
-  config.threads = 4;
-  config.deterministic = false;
-  const BranchBoundResult bb = BranchBoundScheduler(s, config).run();
-  EXPECT_TRUE(bb.optimal);
-  EXPECT_EQ(bb.best_cost, reference.total_cycles);
-  EXPECT_LE(bb.lower_bound, bb.best_cost);
-  EXPECT_TRUE(verify::lint_branch_bound(bb, soc.cores,
-                                        soc.suggested_width)
-                  .clean());
-}
-
-// schedule_with plumbing: the sched_threads argument reaches the engine
-// and cannot change the deterministic result.
-TEST(ParallelBB, ScheduleWithThreadsMatchesSerial) {
+// schedule_with plumbing: the branch-and-bound search's effort counters
+// reach the caller's ScheduleStats.
+TEST(ParallelBB, ScheduleWithReportsSearchEffort) {
   const GeneratedSoc soc = SocGenerator(29).generate(40, SocProfile::Mixed);
-  const sched::Schedule serial =
-      sched::schedule_with(soc.cores, soc.suggested_width,
-                           sched::Strategy::BranchBound);
   sched::ScheduleStats stats;
-  const sched::Schedule threaded =
+  const sched::Schedule schedule =
       sched::schedule_with(soc.cores, soc.suggested_width,
-                           sched::Strategy::BranchBound, &stats, 4);
-  EXPECT_EQ(threaded.total_cycles, serial.total_cycles);
-  EXPECT_EQ(threaded.sessions.size(), serial.sessions.size());
+                           sched::Strategy::BranchBound, &stats);
+  EXPECT_GT(schedule.total_cycles, 0u);
   EXPECT_GT(stats.nodes_expanded, 0u);
   EXPECT_GT(stats.leaves_priced, 0u);
 }

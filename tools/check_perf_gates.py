@@ -38,7 +38,7 @@ record the models they guard):
    certify a 1000-core bound gap strictly below both the single-thread
    population row in the same artifact and the 1.71 absolute ceiling the
    serial engine recorded before the parallel search landed — the gap is
-   only ever allowed to move down; (b) deterministic mode must have held
+   only ever allowed to move down; (b) determinism must have held
    (every fixed-work throughput row byte-identical to the 1-thread run);
    (c) nodes/sec scaling on the fixed-work search, hw-aware like the
    fault-sim gate: >= 2.5x at 8 threads on hosts with >= 8 hardware
@@ -165,7 +165,7 @@ def check_explore_gates(path, problems):
     for threads, match in sorted(matches):
         if match != 1:
             problems.append(
-                f"deterministic mode diverged at {threads} threads "
+                f"search diverged at {threads} threads "
                 f"(fixed-work search not byte-identical to 1 thread)")
 
     # (c) hw-aware nodes/sec scaling on the fixed-work search.
