@@ -76,7 +76,7 @@ int main() {
     for (std::size_t c = 0; c < spec.n_chains; ++c)
       opts.pinned_inputs.emplace_back("si" + std::to_string(c), false);
     const auto core = tpg::make_synthetic_core(spec);
-    return tpg::generate_patterns(core.netlist, opts);
+    return tpg::generate_patterns(core.netlist(), opts);
   };
 
   // --- Session 1: CORE1 + CORE2 in parallel on 6 wires ---------------------

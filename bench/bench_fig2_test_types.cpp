@@ -73,13 +73,13 @@ int main() {
     // shared-levelization constructor levelizes the reference core once
     // for both the scalar and the packed engine.
     const tpg::SyntheticCore ref = tpg::make_synthetic_core(scan_spec);
-    tpg::FaultSimulator fsim(netlist::levelize(ref.netlist));
+    tpg::FaultSimulator fsim(netlist::levelize(ref.netlist()));
     fsim.pin_input("scan_en", false);
     for (std::size_t i = 0; i < scan_spec.n_inputs; ++i)
       fsim.pin_input("pi" + std::to_string(i), false);
     for (std::size_t c = 0; c < scan_spec.n_chains; ++c)
       fsim.pin_input("si" + std::to_string(c), false);
-    const auto faults = tpg::enumerate_faults(ref.netlist);
+    const auto faults = tpg::enumerate_faults(ref.netlist());
     const auto grade = fsim.run(patterns, faults);
     std::cout << "scan pattern fault grade: " << grade.detected << "/"
               << grade.total_faults << " stuck-at faults ("

@@ -26,6 +26,7 @@
 #include "tpg/lfsr.hpp"
 #include "tpg/synthcore.hpp"
 #include "util/rng.hpp"
+#include "verify/netlist_lint.hpp"
 
 namespace {
 
@@ -93,26 +94,10 @@ const tpg::SyntheticCore& simcore_for(std::int64_t n_gates) {
   return it->second;
 }
 
-/// Shared levelization of simcore_for(n_gates), computed once per gate
-/// count instead of once per repetition.
-const std::shared_ptr<const netlist::LevelizedNetlist>& simcore_lev(
-    std::int64_t n_gates) {
-  static std::map<std::int64_t,
-                  std::shared_ptr<const netlist::LevelizedNetlist>>
-      cache;
-  auto it = cache.find(n_gates);
-  if (it == cache.end())
-    it = cache
-             .emplace(n_gates,
-                      netlist::levelize(simcore_for(n_gates).netlist))
-             .first;
-  return it->second;
-}
-
 /// Gate-level simulation of a synthetic core: one pattern per eval pass.
 void BM_GateSimCore(benchmark::State& state) {
   const tpg::SyntheticCore& core = simcore_for(state.range(0));
-  netlist::GateSim sim(core.netlist);
+  netlist::GateSim sim(core.design);
   sim.reset();
   Rng rng(2);
   for (auto _ : state) {
@@ -137,7 +122,7 @@ BENCHMARK(BM_GateSimCore)->Arg(256)->Arg(1024)->Arg(4096);
 /// scalar sweep).
 void BM_PackedGateSim(benchmark::State& state) {
   const tpg::SyntheticCore& core = simcore_for(state.range(0));
-  netlist::PackedGateSim sim(simcore_lev(state.range(0)));
+  netlist::PackedGateSim sim(core.design);
   sim.reset();
   Rng rng(2);
   for (auto _ : state) {
@@ -222,8 +207,47 @@ void BM_NetlistCoreSettle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetlistCoreSettle)->Arg(256);
 
+/// The floor's per-core set-up: generate one floor-sized core (validated
+/// and levelized once), lint that levelized design with its scan chains as
+/// the floor's Verify stage does, and arm the core model's GateSim on it.
+/// Specs are drawn like the floor's (8-16 flip-flops, ~3-4 gates per
+/// flip-flop, 1-3 chains); each iteration sets up one core, and
+/// us_per_core is the wall time per core.
+void BM_CoreSetup(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<tpg::SyntheticCoreSpec> specs(64);
+  for (tpg::SyntheticCoreSpec& spec : specs) {
+    spec.n_inputs = 4;
+    spec.n_outputs = 4;
+    spec.n_flipflops = 8 + rng.below(9);
+    spec.n_gates = 3 * spec.n_flipflops + rng.below(spec.n_flipflops);
+    spec.n_chains = 1 + rng.below(3);
+    spec.seed = rng.next();
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const tpg::SyntheticCore core =
+        tpg::make_synthetic_core(specs[next++ % specs.size()]);
+    verify::NetlistLintConfig config;
+    for (std::size_t c = 0; c < core.chains.size(); ++c)
+      config.scan_chains.push_back(verify::ScanChainSpec{
+          "si" + std::to_string(c), "so" + std::to_string(c),
+          core.chains[c].size()});
+    benchmark::DoNotOptimize(
+        verify::lint_netlist(*core.design, config).admissible());
+    netlist::GateSim sim(core.design);
+    sim.reset();
+    benchmark::DoNotOptimize(sim.dff_count());
+  }
+  state.counters["us_per_core"] = benchmark::Counter(
+      1e-6, benchmark::Counter::kIsIterationInvariantRate |
+                benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoreSetup);
+
 /// The core graded by every fault-simulation benchmark, cached like
-/// simcore_for so repetitions share one generation + levelization.
+/// simcore_for so repetitions share one generation + levelization (the
+/// core carries its levelized design).
 const tpg::SyntheticCore& faultcore_for(std::int64_t n_gates) {
   static std::map<std::int64_t, tpg::SyntheticCore> cache;
   auto it = cache.find(n_gates);
@@ -238,26 +262,12 @@ const tpg::SyntheticCore& faultcore_for(std::int64_t n_gates) {
   return it->second;
 }
 
-const std::shared_ptr<const netlist::LevelizedNetlist>& faultcore_lev(
-    std::int64_t n_gates) {
-  static std::map<std::int64_t,
-                  std::shared_ptr<const netlist::LevelizedNetlist>>
-      cache;
-  auto it = cache.find(n_gates);
-  if (it == cache.end())
-    it = cache
-             .emplace(n_gates,
-                      netlist::levelize(faultcore_for(n_gates).netlist))
-             .first;
-  return it->second;
-}
-
 /// Serial stuck-at fault simulation (pattern x fault grid), one faulty
 /// machine per eval pass — the pre-packed baseline.
 void BM_FaultSim(benchmark::State& state) {
   const tpg::SyntheticCore& core = faultcore_for(state.range(0));
-  tpg::FaultSimulator fsim(faultcore_lev(state.range(0)));
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  tpg::FaultSimulator fsim(core.design);
+  const auto faults = tpg::enumerate_faults(core.netlist());
   Rng rng(3);
   const auto patterns =
       tpg::PatternSet::random(fsim.pattern_width(), 8, rng);
@@ -273,8 +283,8 @@ BENCHMARK(BM_FaultSim)->Arg(64)->Arg(256);
 /// same pattern x fault grid as BM_FaultSim.
 void BM_FaultSim64(benchmark::State& state) {
   const tpg::SyntheticCore& core = faultcore_for(state.range(0));
-  tpg::FaultSimulator fsim(faultcore_lev(state.range(0)));
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  tpg::FaultSimulator fsim(core.design);
+  const auto faults = tpg::enumerate_faults(core.netlist());
   Rng rng(3);
   const auto patterns =
       tpg::PatternSet::random(fsim.pattern_width(), 8, rng);
@@ -295,8 +305,8 @@ BENCHMARK(BM_FaultSim64)->Arg(64)->Arg(256);
 void BM_FaultSimThreaded(benchmark::State& state) {
   const std::int64_t n_gates = 1024;
   const tpg::SyntheticCore& core = faultcore_for(n_gates);
-  tpg::FaultSimulator fsim(faultcore_lev(n_gates));
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  tpg::FaultSimulator fsim(core.design);
+  const auto faults = tpg::enumerate_faults(core.netlist());
   Rng rng(3);
   const auto patterns =
       tpg::PatternSet::random(fsim.pattern_width(), 32, rng);
@@ -332,7 +342,7 @@ void BM_Optimize(benchmark::State& state) {
   spec.n_flipflops = 32;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
   for (auto _ : state) {
-    const auto opt = netlist::optimize(core.netlist);
+    const auto opt = netlist::optimize(core.netlist());
     benchmark::DoNotOptimize(opt.cell_count());
   }
 }

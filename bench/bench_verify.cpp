@@ -92,7 +92,7 @@ int main() {
           "si" + std::to_string(c), "so" + std::to_string(c),
           core.chains[c].size()});
     cases.push_back(NetlistCase{"core_ff" + std::to_string(ffs),
-                                std::move(core.netlist),
+                                core.netlist(),
                                 std::move(config)});
   }
   for (const unsigned width : {4u, 8u}) {

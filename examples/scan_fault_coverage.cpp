@@ -29,9 +29,9 @@ using namespace casbus;
 std::vector<bool> scan_observable_set(const tpg::SyntheticCore& core,
                                       const tpg::PatternSet& patterns,
                                       const std::vector<tpg::Fault>& faults) {
-  netlist::FaultSim fsim(core.netlist);
+  netlist::FaultSim fsim(core.netlist());
   fsim.set_observation(/*outputs=*/false, /*dff_next_states=*/true);
-  for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i)
+  for (std::size_t i = 0; i < core.netlist().inputs().size(); ++i)
     fsim.set_input_index(i, Logic4::Zero);
 
   std::vector<bool> observable(faults.size(), false);
@@ -71,7 +71,7 @@ int main() {
 
   const tpg::SyntheticCore reference = tpg::make_synthetic_core(spec);
   const tpg::AtpgResult patterns =
-      tpg::generate_patterns(reference.netlist, atpg);
+      tpg::generate_patterns(reference.netlist(), atpg);
   std::cout << "ATPG: " << patterns.patterns.size() << " patterns cover "
             << 100.0 * patterns.coverage() << "% of "
             << patterns.total_faults << " stuck-at faults ("
@@ -90,7 +90,7 @@ int main() {
 
   // 3. Inject scan-observable faults into the live core; each must now
   //    fail at the pins. The observable set is graded once, bit-parallel.
-  const auto faults = tpg::enumerate_faults(reference.netlist);
+  const auto faults = tpg::enumerate_faults(reference.netlist());
   const std::vector<bool> observable =
       scan_observable_set(reference, patterns.patterns, faults);
   Rng rng(123);

@@ -82,7 +82,10 @@ void harvest_tester(const soc::SocTester& tester, JobResult& result) {
 }
 
 /// Lints one generated core netlist, including its scan-chain topology
-/// (verify rule NL007 walks the mux-D path the chain spec promises).
+/// (verify rule NL007 walks the mux-D path the chain spec promises). It
+/// lints the levelized design the core's simulators share, so the
+/// comb-cycle rule reads the Build stage's levelization instead of sorting
+/// the netlist again.
 verify::LintReport lint_core_netlist(const tpg::SyntheticCore& core) {
   verify::NetlistLintConfig config;
   config.scan_chains.reserve(core.chains.size());
@@ -90,7 +93,7 @@ verify::LintReport lint_core_netlist(const tpg::SyntheticCore& core) {
     config.scan_chains.push_back(verify::ScanChainSpec{
         "si" + std::to_string(c), "so" + std::to_string(c),
         core.chains[c].size()});
-  return verify::lint_netlist(core.netlist, config);
+  return verify::lint_netlist(*core.design, config);
 }
 
 /// Lints every gate-level netlist inside \p soc (scan, external, BIST,

@@ -8,6 +8,13 @@ NetlistBuilder::NetlistBuilder(std::string design_name) {
   nl_.name_ = std::move(design_name);
 }
 
+void NetlistBuilder::reserve(const Capacity& capacity) {
+  nl_.cells_.reserve(capacity.cells);
+  nl_.inputs_.reserve(capacity.inputs);
+  nl_.outputs_.reserve(capacity.outputs);
+  nl_.net_names_.reserve(capacity.named_nets);
+}
+
 NetId NetlistBuilder::net() {
   CASBUS_REQUIRE(!taken_, "NetlistBuilder used after take()");
   return static_cast<NetId>(nl_.n_nets_++);

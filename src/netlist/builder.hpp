@@ -21,6 +21,16 @@ class NetlistBuilder {
  public:
   explicit NetlistBuilder(std::string design_name);
 
+  /// Capacity hint: a generator that knows (a bound on) its design's
+  /// size builds it without regrowing the cell, port and net-name arrays.
+  struct Capacity {
+    std::size_t cells = 0;
+    std::size_t inputs = 0;
+    std::size_t outputs = 0;
+    std::size_t named_nets = 0;  ///< including the input ports
+  };
+  void reserve(const Capacity& capacity);
+
   /// Creates an unnamed internal net.
   NetId net();
 

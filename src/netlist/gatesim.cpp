@@ -23,15 +23,22 @@ GateSim::GateSim(std::shared_ptr<const LevelizedNetlist> lev)
   seed_.assign(nl().net_count() + 1, Logic4::X);  // + the pad net
   for (NetId n = 0; n < nl().net_count(); ++n)
     if (lev_->net_is_tri(n)) seed_[n] = Logic4::Z;
+  input_net_.reserve(nl().inputs().size());
   for (const Port& p : nl().inputs()) input_net_.push_back(p.net);
-  for (const CellId id : lev_->dff_cells())
-    dff_out_.push_back(nl().cell(id).out);
+  flops_.reserve(lev_->dff_cells().size());
+  dff_out_.reserve(lev_->dff_cells().size());
+  for (const CellId id : lev_->dff_cells()) {
+    const Cell& c = nl().cell(id);
+    flops_.push_back(
+        Flop{c.in[0], c.kind == CellKind::Dffe ? c.in[1] : kNoNet});
+    dff_out_.push_back(c.out);
+  }
+  output_net_.reserve(nl().outputs().size());
   for (const Port& p : nl().outputs()) output_net_.push_back(p.net);
 
   net_val_.assign(seed_.size(), Logic4::X);
   input_val_.assign(nl().inputs().size(), Logic4::X);
   dff_state_.assign(lev_->dff_cells().size(), Logic4::Zero);
-  next_state_.resize(dff_state_.size());
 }
 
 void GateSim::reset(Logic4 state) {
@@ -159,29 +166,27 @@ void GateSim::tick() {
 }
 
 void GateSim::capture() {
-  // Capture all D inputs simultaneously from the settled combinational
-  // values.
-  const auto& dffs = lev_->dff_cells();
-  std::vector<Logic4>& next = next_state_;
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const Cell& c = nl().cell(dffs[i]);
-    const Logic4 d = net_val_[c.in[0]];
-    if (c.kind == CellKind::Dff) {
-      next[i] = is01(d) ? d : Logic4::X;
-    } else {  // Dffe
-      const Logic4 en = net_val_[c.in[1]];
-      if (en == Logic4::One)
-        next[i] = is01(d) ? d : Logic4::X;
-      else if (en == Logic4::Zero)
-        next[i] = dff_state_[i];
-      else
-        next[i] = Logic4::X;
+  // Every flip-flop captures from the settled nets, which capture() does
+  // not touch, and its own old state: updating in place is simultaneous.
+  const Logic4* val = net_val_.data();
+  bool changed = false;
+  for (std::size_t i = 0; i < flops_.size(); ++i) {
+    const Flop& f = flops_[i];
+    const Logic4 d = val[f.d];
+    Logic4 next = is01(d) ? d : Logic4::X;
+    if (f.en != kNoNet) {  // Dffe: hold on 0, unknown on X/Z
+      const Logic4 en = val[f.en];
+      if (en == Logic4::Zero)
+        next = dff_state_[i];
+      else if (en != Logic4::One)
+        next = Logic4::X;
+    }
+    if (next != dff_state_[i]) {
+      dff_state_[i] = next;
+      changed = true;
     }
   }
-  if (next != dff_state_) {
-    dff_state_.swap(next);
-    dirty_ = true;
-  }
+  if (changed) dirty_ = true;
 }
 
 Logic4 GateSim::output(const std::string& name) const {

@@ -141,6 +141,12 @@ class GateSim {
     NetId out;
   };
 
+  /// One flip-flop, flattened in dff_cells() order for capture().
+  struct Flop {
+    NetId d;
+    NetId en;  ///< enable net of a Dffe, kNoNet for a Dff
+  };
+
   [[nodiscard]] bool has_forces() const noexcept { return n_forces_ > 0; }
   [[nodiscard]] const Netlist& nl() const noexcept { return lev_->netlist(); }
 
@@ -149,12 +155,12 @@ class GateSim {
   std::vector<Logic4> seed_;       // per-net start of a sweep: Z (tri) or X,
                                    // plus the pad net after the last net
   std::vector<NetId> input_net_;   // per primary input
+  std::vector<Flop> flops_;        // per flip-flop, its D and enable nets
   std::vector<NetId> dff_out_;     // per flip-flop, its Q net
   std::vector<NetId> output_net_;  // per primary output
   std::vector<Logic4> net_val_;
   std::vector<Logic4> input_val_;
   std::vector<Logic4> dff_state_;
-  std::vector<Logic4> next_state_;  // tick() capture buffer
   std::vector<Logic4> force_;      // per-net forced value
   std::vector<bool> force_on_;     // per-net force active flag
   std::size_t n_forces_ = 0;

@@ -76,12 +76,15 @@ RawNetlist Netlist::to_raw() const {
 }
 
 void Netlist::validate() const {
-  std::vector<int> plain_drivers(n_nets_, 0);
-  std::vector<int> tri_drivers(n_nets_, 0);
+  struct Drivers {
+    int plain = 0;
+    int tri = 0;
+  };
+  std::vector<Drivers> drivers(n_nets_);
 
   for (const Port& p : inputs_) {
     CASBUS_ASSERT(p.net < n_nets_, "input port references invalid net");
-    ++plain_drivers[p.net];
+    ++drivers[p.net].plain;
   }
   for (const Cell& c : cells_) {
     CASBUS_ASSERT(c.out < n_nets_, "cell output references invalid net");
@@ -93,19 +96,19 @@ void Netlist::validate() const {
       CASBUS_ASSERT(c.in[static_cast<std::size_t>(i)] == kNoNet,
                     "cell has extra connected pins");
     if (c.kind == CellKind::Tribuf)
-      ++tri_drivers[c.out];
+      ++drivers[c.out].tri;
     else
-      ++plain_drivers[c.out];
+      ++drivers[c.out].plain;
   }
   for (NetId n = 0; n < n_nets_; ++n) {
-    CASBUS_ASSERT(!(plain_drivers[n] > 1),
+    CASBUS_ASSERT(!(drivers[n].plain > 1),
                   "net has multiple non-tristate drivers");
-    CASBUS_ASSERT(!(plain_drivers[n] == 1 && tri_drivers[n] > 0),
+    CASBUS_ASSERT(!(drivers[n].plain == 1 && drivers[n].tri > 0),
                   "net mixes plain and tri-state drivers");
   }
   for (const Port& p : outputs_) {
     CASBUS_ASSERT(p.net < n_nets_, "output port references invalid net");
-    CASBUS_ASSERT(plain_drivers[p.net] + tri_drivers[p.net] > 0,
+    CASBUS_ASSERT(drivers[p.net].plain + drivers[p.net].tri > 0,
                   "output port reads an undriven net");
   }
 }

@@ -50,25 +50,17 @@ enum class CellKind : std::uint8_t {
   Dffe,    ///< q <= en ? d : q     (inputs: d, en)
 };
 
-/// Number of input pins of \p kind.
+/// Number of input pins of \p kind. A table, not a switch: netlist passes
+/// call it once per cell, and cell kinds come in no predictable order.
 constexpr int fanin(CellKind kind) noexcept {
-  switch (kind) {
-    case CellKind::Const0:
-    case CellKind::Const1: return 0;
-    case CellKind::Buf:
-    case CellKind::Not:
-    case CellKind::Dff: return 1;
-    case CellKind::And2:
-    case CellKind::Or2:
-    case CellKind::Nand2:
-    case CellKind::Nor2:
-    case CellKind::Xor2:
-    case CellKind::Xnor2:
-    case CellKind::Tribuf:
-    case CellKind::Dffe: return 2;
-    case CellKind::Mux2: return 3;
-  }
-  return 0;
+  constexpr std::array<std::int8_t, 14> kFanin = {
+      0, 0,              // Const0, Const1
+      1, 1,              // Buf, Not
+      2, 2, 2, 2, 2, 2,  // And2, Or2, Nand2, Nor2, Xor2, Xnor2
+      3, 2,              // Mux2, Tribuf
+      1, 2};             // Dff, Dffe
+  static_assert(static_cast<std::size_t>(CellKind::Dffe) + 1 == kFanin.size());
+  return kFanin[static_cast<std::size_t>(kind)];
 }
 
 /// True for the sequential cells (Dff, Dffe).

@@ -18,8 +18,7 @@ BistCore::BistCore(sim::Simulation& sim_ctx, std::string name,
                    std::uint32_t cycles)
     : CoreModel(std::move(name)),
       core_(tpg::make_synthetic_core(logic_spec)),
-      sim_(core_.netlist),
-      ports_(*sim_.levelized(), core_.spec),
+      sim_(core_.design),
       cycles_(cycles),
       lfsr_width_(clamp_width(logic_spec.n_inputs, 2, 32)),
       misr_width_(clamp_width(logic_spec.n_outputs, 1, 32)) {
@@ -43,16 +42,17 @@ std::uint32_t BistCore::run_reference() {
 
 void BistCore::bist_cycle(tpg::Lfsr& lfsr, tpg::Misr& misr) {
   const std::uint32_t word = lfsr.state();
-  for (std::size_t i = 0; i < ports_.pi.size(); ++i)
-    sim_.set_input_index(ports_.pi[i],
+  const tpg::SyntheticCoreSpec& spec = core_.spec;
+  for (std::size_t i = 0; i < spec.n_inputs; ++i)
+    sim_.set_input_index(core_.pi_input(i),
                          to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
-  sim_.set_input_index(ports_.scan_en, Logic4::Zero);
-  for (const std::size_t si : ports_.si)
-    sim_.set_input_index(si, Logic4::Zero);
+  sim_.set_input_index(core_.scan_en_input(), Logic4::Zero);
+  for (std::size_t c = 0; c < spec.n_chains; ++c)
+    sim_.set_input_index(core_.si_input(c), Logic4::Zero);
   sim_.eval();
   std::uint32_t resp = 0;
-  for (std::size_t o = 0; o < ports_.po.size(); ++o)
-    if (sim_.output_index(ports_.po[o]) == Logic4::One)
+  for (std::size_t o = 0; o < spec.n_outputs; ++o)
+    if (sim_.output_index(core_.po_output(o)) == Logic4::One)
       resp ^= 1u << (o % misr_width_);
   misr.feed_word(resp);
   sim_.capture();  // the next cycle's eval() sweeps on the new LFSR word

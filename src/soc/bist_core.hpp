@@ -62,7 +62,6 @@ class BistCore : public CoreModel {
 
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
-  SynthPorts ports_;
   std::uint32_t cycles_;
   unsigned lfsr_width_;
   unsigned misr_width_;

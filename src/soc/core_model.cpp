@@ -12,30 +12,21 @@ Logic4 as_logic(const sim::Wire* w) {
 }
 }  // namespace
 
-SynthPorts::SynthPorts(const netlist::LevelizedNetlist& lev,
-                       const tpg::SyntheticCoreSpec& spec)
-    : scan_en(lev.input_index("scan_en")) {
-  for (std::size_t i = 0; i < spec.n_inputs; ++i)
-    pi.push_back(lev.input_index("pi" + std::to_string(i)));
-  for (std::size_t c = 0; c < spec.n_chains; ++c) {
-    si.push_back(lev.input_index("si" + std::to_string(c)));
-    so.push_back(lev.output_index("so" + std::to_string(c)));
-  }
-  for (std::size_t o = 0; o < spec.n_outputs; ++o)
-    po.push_back(lev.output_index("po" + std::to_string(o)));
-}
-
 NetlistCore::NetlistCore(sim::Simulation& sim_ctx, std::string name,
                          tpg::SyntheticCore core)
     : CoreModel(std::move(name)),
       core_(std::move(core)),
-      sim_(core_.netlist),
-      ports_(*sim_.levelized(), core_.spec) {
+      sim_(core_.design) {
   const auto& spec = core_.spec;
   const auto wire = [&](const char* port, std::size_t i) {
     return &sim_ctx.wire(this->name() + port + std::to_string(i),
                          Logic4::Zero);
   };
+  term_.func_in.reserve(spec.n_inputs);
+  term_.func_out.reserve(spec.n_outputs);
+  term_.scan_in.reserve(spec.n_chains);
+  term_.scan_out.reserve(spec.n_chains);
+  term_.chain_lengths.reserve(spec.n_chains);
   for (std::size_t i = 0; i < spec.n_inputs; ++i)
     term_.func_in.push_back(wire(".fin", i));
   for (std::size_t i = 0; i < spec.n_outputs; ++i)
@@ -59,16 +50,16 @@ void NetlistCore::evaluate() {
     const Logic4 v = as_logic(w);
     sim_.set_input_index(index, is01(v) ? v : Logic4::Zero);
   };
-  for (std::size_t i = 0; i < ports_.pi.size(); ++i)
-    drive(ports_.pi[i], term_.func_in[i]);
-  drive(ports_.scan_en, term_.scan_en);
-  for (std::size_t c = 0; c < ports_.si.size(); ++c)
-    drive(ports_.si[c], term_.scan_in[c]);
+  for (std::size_t i = 0; i < term_.func_in.size(); ++i)
+    drive(core_.pi_input(i), term_.func_in[i]);
+  drive(core_.scan_en_input(), term_.scan_en);
+  for (std::size_t c = 0; c < term_.scan_in.size(); ++c)
+    drive(core_.si_input(c), term_.scan_in[c]);
   sim_.eval();
-  for (std::size_t o = 0; o < ports_.po.size(); ++o)
-    term_.func_out[o]->set(sim_.output_index(ports_.po[o]));
-  for (std::size_t c = 0; c < ports_.so.size(); ++c)
-    term_.scan_out[c]->set(sim_.output_index(ports_.so[c]));
+  for (std::size_t o = 0; o < term_.func_out.size(); ++o)
+    term_.func_out[o]->set(sim_.output_index(core_.po_output(o)));
+  for (std::size_t c = 0; c < term_.scan_out.size(); ++c)
+    term_.scan_out[c]->set(sim_.output_index(core_.so_output(c)));
 }
 
 void NetlistCore::tick() {

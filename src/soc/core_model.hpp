@@ -49,24 +49,12 @@ class CoreModel : public sim::Module {
   CoreTerminals term_;
 };
 
-/// Port indices of a tpg::SyntheticCore netlist, resolved once by name
-/// (`pi<i>`, `scan_en`, `si<c>`, `po<o>`, `so<c>`) so the per-cycle paths
-/// drive and read the simulator by position.
-struct SynthPorts {
-  SynthPorts(const netlist::LevelizedNetlist& lev,
-             const tpg::SyntheticCoreSpec& spec);
-
-  std::vector<std::size_t> pi;  ///< input index of pi<i>
-  std::size_t scan_en = 0;      ///< input index of scan_en
-  std::vector<std::size_t> si;  ///< input index of si<c>
-  std::vector<std::size_t> po;  ///< output index of po<o>
-  std::vector<std::size_t> so;  ///< output index of so<c>
-};
-
 /// Gate-level core: a tpg::SyntheticCore simulated cycle-accurately through
 /// its own GateSim, with mux-D scan chains and a gated clock. This is the
 /// model behind scannable cores (paper Fig. 2a) and externally-tested cores
-/// (Fig. 2c — same core, different pattern source). tick() only captures
+/// (Fig. 2c — same core, different pattern source). The GateSim shares the
+/// core's levelized design (tpg::SyntheticCore::design) and drives it by
+/// the core's port table. tick() only captures
 /// the flip-flops and wakes the model when their state changed, so each
 /// cycle costs at most one gate-level sweep, run by evaluate().
 class NetlistCore : public CoreModel {
@@ -105,7 +93,6 @@ class NetlistCore : public CoreModel {
  private:
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
-  SynthPorts ports_;
 };
 
 }  // namespace casbus::soc

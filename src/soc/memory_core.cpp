@@ -1,6 +1,6 @@
 #include "soc/memory_core.hpp"
 
-#include <sstream>
+#include <string>
 
 namespace casbus::soc {
 
@@ -20,22 +20,19 @@ MemoryCore::MemoryCore(sim::Simulation& sim_ctx, std::string name,
   mem_.assign(words, 0);
 
   // Functional port wires: we, addr, wdata | rdata.
+  const auto wire = [&](const char* port, unsigned i) {
+    return &sim_ctx.wire(this->name() + port + std::to_string(i),
+                         Logic4::Zero);
+  };
+  term_.func_in.reserve(1 + addr_bits_ + data_bits_);
   term_.func_in.push_back(&sim_ctx.wire(this->name() + ".we", Logic4::Zero));
-  for (unsigned a = 0; a < addr_bits_; ++a) {
-    std::ostringstream os;
-    os << this->name() << ".addr" << a;
-    term_.func_in.push_back(&sim_ctx.wire(os.str(), Logic4::Zero));
-  }
-  for (unsigned d = 0; d < data_bits_; ++d) {
-    std::ostringstream os;
-    os << this->name() << ".wdata" << d;
-    term_.func_in.push_back(&sim_ctx.wire(os.str(), Logic4::Zero));
-  }
-  for (unsigned d = 0; d < data_bits_; ++d) {
-    std::ostringstream os;
-    os << this->name() << ".rdata" << d;
-    term_.func_out.push_back(&sim_ctx.wire(os.str(), Logic4::Zero));
-  }
+  for (unsigned a = 0; a < addr_bits_; ++a)
+    term_.func_in.push_back(wire(".addr", a));
+  for (unsigned d = 0; d < data_bits_; ++d)
+    term_.func_in.push_back(wire(".wdata", d));
+  term_.func_out.reserve(data_bits_);
+  for (unsigned d = 0; d < data_bits_; ++d)
+    term_.func_out.push_back(wire(".rdata", d));
   term_.core_clk_en = &sim_ctx.wire(this->name() + ".clk_en", Logic4::One);
   term_.bist_start =
       &sim_ctx.wire(this->name() + ".bist_start", Logic4::Zero);

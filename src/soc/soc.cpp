@@ -189,8 +189,12 @@ std::unique_ptr<Soc> SocBuilder::build() {
     inst.wrapper = std::make_unique<p1500::Wrapper>(
         sim, inst.name + ".wrap", std::move(func), std::move(ct),
         std::move(tam_ports), soc->wsc_);
-    sim.add(&model);
+    // Wrapper before core: the wrapper drives the core's scan-in and
+    // functional inputs, so registering it first lets the core's one
+    // gate-level sweep per cycle see this cycle's inputs instead of
+    // sweeping again when the wrapper settles after it.
     sim.add(inst.wrapper.get());
+    sim.add(&model);
     soc->ring_.push_back(inst.wrapper.get());
   };
 

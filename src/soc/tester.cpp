@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "core/config_protocol.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace casbus::soc {
@@ -16,25 +17,31 @@ SocTester::SocTester(Soc& soc) : soc_(soc) {}
 tpg::FaultSimulator& SocTester::golden_for(const CoreRef& ref) {
   auto it = golden_.find(ref);
   if (it == golden_.end()) {
-    // The golden model shares the core model's levelization: same netlist,
-    // levelized once per core.
-    const NetlistCore& model = core_at(ref).as_scan();
-    const tpg::SyntheticCore& sc = model.synth();
-    auto fsim = std::make_unique<tpg::FaultSimulator>(
-        model.gatesim().levelized());
+    // The golden model shares the core's levelized design: one netlist,
+    // levelized once per core, pinned through the core's port table.
+    const tpg::SyntheticCore& sc = core_at(ref).as_scan().synth();
+    auto fsim = std::make_unique<tpg::FaultSimulator>(sc.design);
     for (std::size_t i = 0; i < sc.spec.n_inputs; ++i)
-      fsim->pin_input("pi" + std::to_string(i), false);
-    fsim->pin_input("scan_en", false);
+      fsim->pin_input_index(sc.pi_input(i), false);
+    fsim->pin_input_index(sc.scan_en_input(), false);
     for (std::size_t c = 0; c < sc.spec.n_chains; ++c)
-      fsim->pin_input("si" + std::to_string(c), false);
+      fsim->pin_input_index(sc.si_input(c), false);
     it = golden_.emplace(ref, std::move(fsim)).first;
   }
   return *it->second;
 }
 
+std::size_t SocTester::PatternHash::operator()(
+    const BitVector& pattern) const noexcept {
+  StableHash h;
+  h.mix(static_cast<std::uint64_t>(pattern.size()));
+  for (const std::uint64_t w : pattern.words()) h.mix(w);
+  return static_cast<std::size_t>(h.value());
+}
+
 std::vector<const BitVector*> SocTester::expected_responses(
     const CoreRef& ref, const tpg::PatternSet& patterns) {
-  std::unordered_map<std::string, BitVector>& cache = golden_cache_[ref];
+  GoldenMemo& cache = golden_cache_[ref];
   std::vector<const BitVector*> out(patterns.size());
   std::vector<const BitVector*> misses;
   std::vector<BitVector*> slots;  // memo entries the misses fill
@@ -42,8 +49,9 @@ std::vector<const BitVector*> SocTester::expected_responses(
     const BitVector& pattern = patterns.at(r);
     // A miss reserves its entry at once, so a repeat of the pattern later
     // in the set is a hit, as it would be one pattern at a time.
-    const auto [it, miss] = cache.try_emplace(pattern.to_string());
-    if (miss) {
+    auto it = cache.find(pattern);
+    if (it == cache.end()) {
+      it = cache.emplace(pattern, BitVector{}).first;
       misses.push_back(&pattern);
       slots.push_back(&it->second);
     }

@@ -251,9 +251,14 @@ class SocTester {
   Soc& soc_;
   /// Golden-model simulators per scan core, created lazily.
   std::map<CoreRef, std::unique_ptr<tpg::FaultSimulator>> golden_;
-  /// Cached golden responses per core, keyed by pattern bits.
-  std::map<CoreRef, std::unordered_map<std::string, BitVector>>
-      golden_cache_;
+  /// Hashes a pattern by its words (no string is built per lookup).
+  struct PatternHash {
+    std::size_t operator()(const BitVector& pattern) const noexcept;
+  };
+  /// Golden responses of one core, keyed by pattern.
+  using GoldenMemo = std::unordered_map<BitVector, BitVector, PatternHash>;
+  /// Cached golden responses per core.
+  std::map<CoreRef, GoldenMemo> golden_cache_;
   /// Memo traffic (see memo_lookups()).
   std::uint64_t memo_lookups_ = 0;
   std::uint64_t memo_hits_ = 0;

@@ -23,15 +23,18 @@ FaultSimulator::FaultSimulator(
 }
 
 void FaultSimulator::pin_input(const std::string& name, bool value) {
-  for (std::size_t i = 0; i < nl().inputs().size(); ++i) {
-    if (nl().inputs()[i].name != name) continue;
-    pinned_.emplace_back(i, value);
-    free_inputs_.erase(
-        std::remove(free_inputs_.begin(), free_inputs_.end(), i),
-        free_inputs_.end());
-    return;
-  }
+  for (std::size_t i = 0; i < nl().inputs().size(); ++i)
+    if (nl().inputs()[i].name == name) return pin_input_index(i, value);
   CASBUS_REQUIRE(false, "pin_input: unknown input " + name);
+}
+
+void FaultSimulator::pin_input_index(std::size_t index, bool value) {
+  CASBUS_REQUIRE(index < nl().inputs().size(),
+                 "pin_input_index: input index out of range");
+  pinned_.emplace_back(index, value);
+  free_inputs_.erase(
+      std::remove(free_inputs_.begin(), free_inputs_.end(), index),
+      free_inputs_.end());
 }
 
 std::size_t FaultSimulator::pattern_width() const noexcept {

@@ -82,6 +82,9 @@ class FaultSimulator {
   /// removed from the pattern image.
   void pin_input(const std::string& name, bool value);
 
+  /// pin_input() by input position (declaration order).
+  void pin_input_index(std::size_t index, bool value);
+
   /// Bits a pattern must supply: free primary inputs + flip-flops.
   [[nodiscard]] std::size_t pattern_width() const noexcept;
 

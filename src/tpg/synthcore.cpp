@@ -1,7 +1,7 @@
 #include "tpg/synthcore.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "netlist/builder.hpp"
 #include "util/rng.hpp"
@@ -23,41 +23,47 @@ SyntheticCore make_synthetic_core(const SyntheticCoreSpec& spec) {
   CASBUS_REQUIRE(spec.n_inputs >= 1, "synthetic core needs >= 1 input");
   Rng rng(spec.seed);
 
-  std::ostringstream name;
-  name << "score_i" << spec.n_inputs << "_o" << spec.n_outputs << "_f"
-       << spec.n_flipflops << "_g" << spec.n_gates << "_s" << spec.seed;
-  NetlistBuilder b(name.str());
+  using std::to_string;
+  NetlistBuilder b("score_i" + to_string(spec.n_inputs) + "_o" +
+                   to_string(spec.n_outputs) + "_f" +
+                   to_string(spec.n_flipflops) + "_g" +
+                   to_string(spec.n_gates) + "_s" + to_string(spec.seed));
+  // Cells: the cloud, a scan mux and a flip-flop per state bit, and at
+  // most one output-folding XOR per cloud gate.
+  b.reserve({.cells = 2 * spec.n_gates + 2 * spec.n_flipflops,
+             .inputs = spec.n_inputs + 1 + spec.n_chains,
+             .outputs = spec.n_outputs + spec.n_chains,
+             .named_nets = spec.n_inputs + 1 + spec.n_chains +
+                           spec.n_flipflops});
 
-  // Functional and scan inputs.
+  // Functional and scan inputs, in the order SyntheticCore's port table
+  // assumes.
   std::vector<NetId> pis;
-  for (std::size_t i = 0; i < spec.n_inputs; ++i) {
-    std::ostringstream os;
-    os << "pi" << i;
-    pis.push_back(b.input(os.str()));
-  }
+  pis.reserve(spec.n_inputs);
+  for (std::size_t i = 0; i < spec.n_inputs; ++i)
+    pis.push_back(b.input("pi" + to_string(i)));
   const NetId scan_en = b.input("scan_en");
   std::vector<NetId> sis;
-  for (std::size_t c = 0; c < spec.n_chains; ++c) {
-    std::ostringstream os;
-    os << "si" << c;
-    sis.push_back(b.input(os.str()));
-  }
+  sis.reserve(spec.n_chains);
+  for (std::size_t c = 0; c < spec.n_chains; ++c)
+    sis.push_back(b.input("si" + to_string(c)));
 
   // Pre-allocate flip-flop outputs so the combinational cloud can read
   // state before the flip-flops are instantiated (sequential feedback).
   std::vector<NetId> ff_q;
-  for (std::size_t f = 0; f < spec.n_flipflops; ++f) {
-    std::ostringstream os;
-    os << "ff_q" << f;
-    ff_q.push_back(b.net(os.str()));
-  }
+  ff_q.reserve(spec.n_flipflops);
+  for (std::size_t f = 0; f < spec.n_flipflops; ++f)
+    ff_q.push_back(b.net("ff_q" + to_string(f)));
 
   // Random combinational cloud over inputs + state + earlier gate outputs.
   // `consumed` tracks which pool entries feed something downstream so the
   // generator can guarantee full structural observability below.
-  std::vector<NetId> pool = pis;
+  std::vector<NetId> pool;
+  pool.reserve(pis.size() + ff_q.size() + spec.n_gates);
+  pool.insert(pool.end(), pis.begin(), pis.end());
   pool.insert(pool.end(), ff_q.begin(), ff_q.end());
   std::vector<bool> consumed(pool.size(), false);
+  consumed.reserve(pool.capacity());
   const auto pick = [&]() -> NetId {
     const std::size_t idx = rng.below(pool.size());
     consumed[idx] = true;
@@ -85,6 +91,8 @@ SyntheticCore make_synthetic_core(const SyntheticCoreSpec& spec) {
   SyntheticCore core;
   core.spec = spec;
   core.chains.assign(spec.n_chains, {});
+  for (auto& chain : core.chains)
+    chain.reserve((spec.n_flipflops + spec.n_chains - 1) / spec.n_chains);
   for (std::size_t f = 0; f < spec.n_flipflops; ++f)
     core.chains[f % spec.n_chains].push_back(f);
 
@@ -108,6 +116,7 @@ SyntheticCore make_synthetic_core(const SyntheticCoreSpec& spec) {
   // unobservable (real cores do not ship dead logic, and fault-coverage
   // experiments need a testable circuit).
   std::vector<NetId> po_nodes;
+  po_nodes.reserve(spec.n_outputs);
   for (std::size_t o = 0; o < spec.n_outputs; ++o) po_nodes.push_back(pick());
   std::size_t fold_at = 0;
   if (!po_nodes.empty()) {
@@ -117,20 +126,16 @@ SyntheticCore make_synthetic_core(const SyntheticCoreSpec& spec) {
       fold_at = (fold_at + 1) % po_nodes.size();
     }
   }
-  for (std::size_t o = 0; o < spec.n_outputs; ++o) {
-    std::ostringstream os;
-    os << "po" << o;
-    b.output(os.str(), po_nodes[o]);
-  }
+  for (std::size_t o = 0; o < spec.n_outputs; ++o)
+    b.output("po" + to_string(o), po_nodes[o]);
   for (std::size_t c = 0; c < spec.n_chains; ++c) {
-    std::ostringstream os;
-    os << "so" << c;
     CASBUS_ASSERT(!core.chains[c].empty(),
                   "round-robin stitching left an empty chain");
-    b.output(os.str(), ff_q[core.chains[c].back()]);
+    b.output("so" + to_string(c), ff_q[core.chains[c].back()]);
   }
 
-  core.netlist = b.take();
+  // take() validates; the levelization takes the netlist over by move.
+  core.design = netlist::levelize(b.take());
   return core;
 }
 

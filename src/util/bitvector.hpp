@@ -110,6 +110,13 @@ class BitVector {
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
 
+  /// The bits as 64-bit words, bit i in word i / 64 at position i % 64;
+  /// the unused high bits of the last word are zero, so two vectors of one
+  /// size are equal exactly when their words are.
+  [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
+    return words_;
+  }
+
   /// Lexicographic equality over (size, bits).
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

@@ -1,11 +1,10 @@
 #include "verify/netlist_lint.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 
+#include "netlist/levelize.hpp"
 #include "util/csr.hpp"
 
 namespace casbus::verify {
@@ -16,6 +15,7 @@ using netlist::CellKind;
 using netlist::fanin;
 using netlist::is_sequential;
 using netlist::kNoNet;
+using netlist::LevelizedNetlist;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::Port;
@@ -24,13 +24,15 @@ using netlist::RawNetlist;
 namespace {
 
 /// What the rules read of a design: views of a RawNetlist's or a validated
-/// Netlist's arrays, so linting a Netlist copies nothing.
+/// Netlist's arrays, so linting a Netlist copies nothing — plus, for a
+/// levelized design, the levelization the comb-cycle rule reads.
 struct Design {
   std::size_t n_nets = 0;
   std::span<const Cell> cells;
   std::span<const Port> inputs;
   std::span<const Port> outputs;
   std::span<const std::pair<NetId, std::string>> net_names;
+  const LevelizedNetlist* levelized = nullptr;
 
   explicit Design(const RawNetlist& raw)
       : n_nets(raw.n_nets),
@@ -44,6 +46,9 @@ struct Design {
         inputs(nl.inputs()),
         outputs(nl.outputs()),
         net_names(nl.net_names()) {}
+  explicit Design(const LevelizedNetlist& lev) : Design(lev.netlist()) {
+    levelized = &lev;
+  }
 };
 
 /// Per-design working set shared by the rule passes: driver/reader tables
@@ -51,9 +56,13 @@ struct Design {
 /// NL000 and excluded so later passes never index out of range).
 struct Tables {
   std::vector<bool> cell_ok;            ///< pins all in range
-  std::vector<int> plain_drivers;       ///< per net, non-tristate
-  std::vector<int> tri_drivers;         ///< per net, tristuf
-  std::vector<std::size_t> reader_pins; ///< per net, cell pins + out ports
+  /// Driver and reader counts of one net.
+  struct NetCounts {
+    int plain = 0;                      ///< non-tristate drivers
+    int tri = 0;                        ///< tri-state drivers
+    std::size_t reader_pins = 0;        ///< cell pins + output ports
+  };
+  std::vector<NetCounts> nets;          ///< per net
   Csr<CellId> drivers;                  ///< cells driving each net
 };
 
@@ -69,9 +78,7 @@ Tables build_tables(const Design& raw, LintReport& report) {
   Tables t;
   const std::size_t n = raw.n_nets;
   t.cell_ok.assign(raw.cells.size(), true);
-  t.plain_drivers.assign(n, 0);
-  t.tri_drivers.assign(n, 0);
-  t.reader_pins.assign(n, 0);
+  t.nets.assign(n, {});
 
   for (CellId id = 0; id < raw.cells.size(); ++id) {
     const Cell& c = raw.cells[id];
@@ -93,13 +100,13 @@ Tables build_tables(const Design& raw, LintReport& report) {
     // findings on the nets the cell legitimately touches.
     if (c.out < n) {
       if (c.kind == CellKind::Tribuf)
-        ++t.tri_drivers[c.out];
+        ++t.nets[c.out].tri;
       else
-        ++t.plain_drivers[c.out];
+        ++t.nets[c.out].plain;
     }
     for (int i = 0; i < n_in; ++i) {
       const NetId in = c.in[static_cast<std::size_t>(i)];
-      if (in < n) ++t.reader_pins[in];
+      if (in < n) ++t.nets[in].reader_pins;
     }
   }
   for (std::size_t p = 0; p < raw.inputs.size(); ++p) {
@@ -109,7 +116,7 @@ Tables build_tables(const Design& raw, LintReport& report) {
                      "' references an out-of-range net");
       continue;
     }
-    ++t.plain_drivers[raw.inputs[p].net];
+    ++t.nets[raw.inputs[p].net].plain;
   }
   for (std::size_t p = 0; p < raw.outputs.size(); ++p) {
     if (raw.outputs[p].net >= n) {
@@ -118,7 +125,7 @@ Tables build_tables(const Design& raw, LintReport& report) {
                      "' references an out-of-range net");
       continue;
     }
-    ++t.reader_pins[raw.outputs[p].net];
+    ++t.nets[raw.outputs[p].net].reader_pins;
   }
   t.drivers = Csr<CellId>::build(n, [&](auto&& emit) {
     for (CellId id = 0; id < raw.cells.size(); ++id)
@@ -130,14 +137,14 @@ Tables build_tables(const Design& raw, LintReport& report) {
 void lint_drivers(const Design& raw, const Tables& t,
                   LintReport& report) {
   for (NetId net = 0; net < raw.n_nets; ++net) {
-    const int plain = t.plain_drivers[net];
-    const int tri = t.tri_drivers[net];
+    const int plain = t.nets[net].plain;
+    const int tri = t.nets[net].tri;
     if (plain > 1 || (plain >= 1 && tri > 0)) {
       std::ostringstream os;
       os << "net " << net_label(raw, net) << " has " << plain
          << " plain and " << tri << " tri-state drivers";
       report.add(RuleId::NetMultiDriver, net, os.str());
-    } else if (plain + tri == 0 && t.reader_pins[net] > 0) {
+    } else if (plain + tri == 0 && t.nets[net].reader_pins > 0) {
       // Undriven-but-read nets: cell pins are NL002; output ports NL005.
       bool read_by_cell = false;
       for (CellId id = 0; id < raw.cells.size(); ++id) {
@@ -157,7 +164,7 @@ void lint_drivers(const Design& raw, const Tables& t,
   for (std::size_t p = 0; p < raw.outputs.size(); ++p) {
     const Port& port = raw.outputs[p];
     if (port.net >= raw.n_nets) continue;  // reported as NL000
-    if (t.plain_drivers[port.net] + t.tri_drivers[port.net] == 0) {
+    if (t.nets[port.net].plain + t.nets[port.net].tri == 0) {
       std::ostringstream os;
       os << "output port '" << port.name << "' reads undriven net "
          << net_label(raw, port.net);
@@ -170,65 +177,25 @@ void lint_fanout(const Design& raw, const Tables& t,
                  const NetlistLintConfig& config, LintReport& report) {
   if (config.fanout_ceiling == 0) return;
   for (NetId net = 0; net < raw.n_nets; ++net) {
-    if (t.reader_pins[net] > config.fanout_ceiling) {
+    if (t.nets[net].reader_pins > config.fanout_ceiling) {
       std::ostringstream os;
       os << "net " << net_label(raw, net) << " fans out to "
-         << t.reader_pins[net] << " pins (ceiling "
+         << t.nets[net].reader_pins << " pins (ceiling "
          << config.fanout_ceiling << ")";
       report.add(RuleId::NetFanout, net, os.str());
     }
   }
 }
 
-/// Kahn's algorithm over the well-formed combinational cells; returns the
-/// set of cells left unplaced (non-empty exactly when a cycle exists).
-std::vector<bool> unplaced_comb_cells(const Design& raw,
-                                      const Tables& t) {
-  std::vector<int> pending(raw.n_nets, 0);
-  std::vector<int> missing(raw.cells.size(), 0);
-  std::vector<bool> comb(raw.cells.size(), false);
-
-  for (CellId id = 0; id < raw.cells.size(); ++id) {
-    const Cell& c = raw.cells[id];
-    if (!t.cell_ok[id] || is_sequential(c.kind)) continue;
-    comb[id] = true;
-    ++pending[c.out];
-  }
-  const Csr<CellId> readers =
-      Csr<CellId>::build(raw.n_nets, [&](auto&& emit) {
-        for (CellId id = 0; id < raw.cells.size(); ++id) {
-          if (!comb[id]) continue;
-          const Cell& c = raw.cells[id];
-          for (int i = 0; i < fanin(c.kind); ++i)
-            emit(c.in[static_cast<std::size_t>(i)], id);
-        }
-      });
-  for (CellId id = 0; id < raw.cells.size(); ++id) {
-    if (!comb[id]) continue;
-    const Cell& c = raw.cells[id];
-    const int n_in = fanin(c.kind);
-    for (int i = 0; i < n_in; ++i)
-      if (pending[c.in[static_cast<std::size_t>(i)]] > 0) ++missing[id];
-  }
-
-  std::queue<CellId> ready;
-  for (CellId id = 0; id < raw.cells.size(); ++id)
-    if (comb[id] && missing[id] == 0) ready.push(id);
-
-  std::vector<bool> placed(raw.cells.size(), false);
-  while (!ready.empty()) {
-    const CellId id = ready.front();
-    ready.pop();
-    placed[id] = true;
-    const Cell& c = raw.cells[id];
-    if (--pending[c.out] == 0)
-      for (const CellId r : readers[c.out])
-        if (--missing[r] == 0) ready.push(r);
-  }
-
+/// The well-formed combinational cells that netlist::order_comb_cells
+/// cannot place (non-empty exactly when a cycle exists).
+std::vector<bool> unplaced_comb_cells(const Design& raw, const Tables& t) {
   std::vector<bool> unplaced(raw.cells.size(), false);
   for (CellId id = 0; id < raw.cells.size(); ++id)
-    unplaced[id] = comb[id] && !placed[id];
+    unplaced[id] = t.cell_ok[id] && !is_sequential(raw.cells[id].kind);
+  for (const CellId id :
+       netlist::order_comb_cells(raw.n_nets, raw.cells, t.cell_ok).order)
+    unplaced[id] = false;
   return unplaced;
 }
 
@@ -279,6 +246,9 @@ std::vector<CellId> comb_cycle(const Design& raw, const Tables& t) {
 
 void lint_cycles(const Design& raw, const Tables& t,
                  LintReport& report) {
+  // A levelized design placed every combinational cell: its construction
+  // throws on a cycle, so the rule's answer is already known.
+  if (raw.levelized != nullptr) return;
   const std::vector<CellId> cycle = comb_cycle(raw, t);
   if (cycle.empty()) return;
   std::ostringstream os;
@@ -296,18 +266,21 @@ void lint_unreachable(const Design& raw, const Tables& t,
                       LintReport& report) {
   // Backward liveness from the primary outputs: a cell is reachable when
   // its output net transitively feeds an output port.
+  // The work list is a stack: the live set does not depend on the visit
+  // order, and findings are reported in cell order below.
   std::vector<bool> net_live(raw.n_nets, false);
   std::vector<bool> cell_live(raw.cells.size(), false);
-  std::queue<NetId> work;
+  std::vector<NetId> work;
+  work.reserve(raw.n_nets);
   for (const Port& p : raw.outputs) {
     if (p.net < raw.n_nets && !net_live[p.net]) {
       net_live[p.net] = true;
-      work.push(p.net);
+      work.push_back(p.net);
     }
   }
   while (!work.empty()) {
-    const NetId net = work.front();
-    work.pop();
+    const NetId net = work.back();
+    work.pop_back();
     for (const CellId id : t.drivers[net]) {
       if (cell_live[id]) continue;
       cell_live[id] = true;
@@ -318,7 +291,7 @@ void lint_unreachable(const Design& raw, const Tables& t,
         if (in >= raw.n_nets) continue;  // malformed cell, reported as NL000
         if (!net_live[in]) {
           net_live[in] = true;
-          work.push(in);
+          work.push_back(in);
         }
       }
     }
@@ -337,55 +310,58 @@ void lint_scan_chains(const Design& raw, const Tables& t,
                       const NetlistLintConfig& config, LintReport& report) {
   if (config.scan_chains.empty()) return;
 
-  std::unordered_map<std::string, NetId> in_ports, out_ports;
-  for (const Port& p : raw.inputs)
-    if (p.net < raw.n_nets) in_ports.emplace(p.name, p.net);
-  for (const Port& p : raw.outputs)
-    if (p.net < raw.n_nets) out_ports.emplace(p.name, p.net);
-
-  // Scan successor tables: a chain stage is a sequential cell whose D pin
-  // reads the current net either directly or through the scan side (pin b)
-  // of a mux-D scan mux.
-  const auto cells_reading = [&](auto pin_of) {
-    return Csr<CellId>::build(raw.n_nets, [&](auto&& emit) {
-      for (CellId id = 0; id < raw.cells.size(); ++id) {
-        const NetId net = pin_of(raw.cells[id]);
-        if (net < raw.n_nets && raw.cells[id].out < raw.n_nets)
-          emit(net, id);
-      }
-    });
+  // The net of the first in-range port named \p name, or kNoNet (chains
+  // are few, so a scan of the ports beats building a name map).
+  const auto port_net = [&](std::span<const Port> ports,
+                            const std::string& name) {
+    for (const Port& p : ports)
+      if (p.name == name && p.net < raw.n_nets) return p.net;
+    return kNoNet;
   };
-  const Csr<CellId> seq_d_readers = cells_reading([](const Cell& c) {
-    return is_sequential(c.kind) ? c.in[0] : kNoNet;
-  });
-  const Csr<CellId> mux_b_readers = cells_reading([](const Cell& c) {
-    return c.kind == CellKind::Mux2 ? c.in[1] : kNoNet;
-  });
+
+  // Scan successors: per net, how many flip-flops one chain stage can
+  // reach from it — a sequential cell whose D pin reads the net either
+  // directly or through the scan side (pin b) of a mux-D scan mux driving
+  // that pin — and one of them: a walk only moves on when it is the only
+  // one.
+  struct Successors {
+    std::size_t count = 0;
+    CellId ff = 0;
+  };
+  std::vector<Successors> next_stage(raw.n_nets);
+  const auto reaches = [&](NetId net, CellId ff) {
+    ++next_stage[net].count;
+    next_stage[net].ff = ff;
+  };
+  for (CellId id = 0; id < raw.cells.size(); ++id) {
+    const Cell& ff = raw.cells[id];
+    if (!is_sequential(ff.kind) || ff.in[0] >= raw.n_nets ||
+        ff.out >= raw.n_nets)
+      continue;
+    reaches(ff.in[0], id);
+    for (const CellId m : t.drivers[ff.in[0]]) {
+      const Cell& mux = raw.cells[m];
+      if (mux.kind == CellKind::Mux2 && mux.in[1] < raw.n_nets)
+        reaches(mux.in[1], id);
+    }
+  }
 
   std::vector<bool> visited(raw.cells.size(), false);
   for (std::size_t ci = 0; ci < config.scan_chains.size(); ++ci) {
     const ScanChainSpec& chain = config.scan_chains[ci];
-    const auto si = in_ports.find(chain.scan_in);
-    const auto so = out_ports.find(chain.scan_out);
-    if (si == in_ports.end() || so == out_ports.end()) {
+    const NetId si = port_net(raw.inputs, chain.scan_in);
+    const NetId so = port_net(raw.outputs, chain.scan_out);
+    if (si == kNoNet || so == kNoNet) {
       report.add(RuleId::ScanChainBroken, ci,
                  "chain " + std::to_string(ci) + " ports '" + chain.scan_in +
                      "'/'" + chain.scan_out + "' missing from the design");
       continue;
     }
-    NetId cur = si->second;
+    NetId cur = si;
     bool broken = false;
     for (std::size_t step = 0; step < chain.length; ++step) {
-      // Candidate next stages from the current net: its direct D-pin
-      // readers, then those behind a scan mux. Exactly one must exist.
-      std::size_t candidates = seq_d_readers[cur].size();
-      CellId next = candidates > 0 ? seq_d_readers[cur].front() : 0;
-      for (const CellId m : mux_b_readers[cur]) {
-        const std::span<const CellId> behind =
-            seq_d_readers[raw.cells[m].out];
-        if (candidates == 0 && !behind.empty()) next = behind.front();
-        candidates += behind.size();
-      }
+      // Exactly one next stage must exist.
+      const std::size_t candidates = next_stage[cur].count;
       if (candidates != 1) {
         std::ostringstream os;
         os << "chain " << ci << " ('" << chain.scan_in << "') "
@@ -396,14 +372,15 @@ void lint_scan_chains(const Design& raw, const Tables& t,
         broken = true;
         break;
       }
+      const CellId next = next_stage[cur].ff;
       visited[next] = true;
       cur = raw.cells[next].out;
     }
-    if (!broken && cur != so->second) {
+    if (!broken && cur != so) {
       std::ostringstream os;
       os << "chain " << ci << " ends on net " << net_label(raw, cur)
          << " but port '" << chain.scan_out << "' reads "
-         << net_label(raw, so->second)
+         << net_label(raw, so)
          << " (length mismatch or mis-stitched tail)";
       report.add(RuleId::ScanChainBroken, ci, os.str());
     }
@@ -440,6 +417,11 @@ LintReport lint_netlist(const RawNetlist& raw,
 
 LintReport lint_netlist(const Netlist& nl, const NetlistLintConfig& config) {
   return lint_design(Design(nl), config);
+}
+
+LintReport lint_netlist(const LevelizedNetlist& lev,
+                        const NetlistLintConfig& config) {
+  return lint_design(Design(lev), config);
 }
 
 std::vector<CellId> find_comb_cycle(const RawNetlist& raw) {

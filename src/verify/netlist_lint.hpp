@@ -8,7 +8,11 @@
 /// pass over a RawNetlist implies from_raw() will accept it; the Netlist
 /// overload is a convenience for already-validated designs (it can still
 /// find cycles, dead gates, fanout pressure, and scan-chain breaks, which
-/// validate() does not check).
+/// validate() does not check). The LevelizedNetlist overload lints a design
+/// that is already levelized for simulation: it runs the same rule passes
+/// and reads the comb-cycle answer from the levelization (one topological
+/// sort, netlist::order_comb_cells, serves both), so the floor's Verify
+/// stage lints each core without sorting it a second time.
 ///
 /// Rules (see verify/report.hpp for ids and severities):
 ///   NL000 netlist-malformed    out-of-range net refs, connected spare pins
@@ -30,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
 #include "verify/report.hpp"
 
@@ -69,6 +74,12 @@ struct NetlistLintConfig {
 
 /// Convenience overload for validated designs.
 [[nodiscard]] LintReport lint_netlist(const netlist::Netlist& nl,
+                                      const NetlistLintConfig& config = {});
+
+/// Overload for levelized designs: the same report as linting
+/// lev.netlist(), without a second topological sort (a levelized design
+/// is acyclic by construction, so NL003 never fires here).
+[[nodiscard]] LintReport lint_netlist(const netlist::LevelizedNetlist& lev,
                                       const NetlistLintConfig& config = {});
 
 /// Finds one combinational cycle in \p raw: cell ids in cycle order (the

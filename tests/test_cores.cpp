@@ -200,7 +200,7 @@ TEST(BistCore, InjectedFaultFlipsVerdictAndClears) {
   // Fault on a flip-flop output of the core logic.
   const auto ref = tpg::make_synthetic_core(bist_logic(9));
   netlist::NetId ffq = netlist::kNoNet;
-  for (const auto& [net, name] : ref.netlist.net_names())
+  for (const auto& [net, name] : ref.netlist().net_names())
     if (name == "ff_q0") ffq = net;
   ASSERT_NE(ffq, netlist::kNoNet);
   bist.inject_fault(ffq, true);
@@ -277,7 +277,7 @@ TEST(NetlistCore, ForceOnSettledCoreReachesOutputsOnNextSettle) {
   sim::Wire& po0 = *core.terminals().func_out[0];
   const Logic4 before = po0.get();
   ASSERT_TRUE(is01(before));
-  const netlist::NetId net = core.synth().netlist.outputs()[0].net;
+  const netlist::NetId net = core.synth().netlist().outputs()[0].net;
   core.gatesim().set_force(net, logic_not(before));
   sim.settle();
   EXPECT_EQ(po0.get(), logic_not(before));

@@ -118,8 +118,8 @@ TEST(Emit, GeneratedCoreEmitsCleanly) {
   tpg::SyntheticCoreSpec spec;
   spec.seed = 3;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const std::string vhdl = emit_vhdl(core.netlist);
-  const std::string verilog = emit_verilog(core.netlist);
+  const std::string vhdl = emit_vhdl(core.netlist());
+  const std::string verilog = emit_verilog(core.netlist());
   EXPECT_NE(vhdl.find("entity "), std::string::npos);
   EXPECT_NE(verilog.find("module "), std::string::npos);
   // Scan interface survives by name.

@@ -96,7 +96,7 @@ TEST_P(Fuzz, InjectedFlipFlopFaultIsDetected) {
   const std::size_t victim =
       world.scan_cores[rng.below(world.scan_cores.size())];
   NetlistCore& core = world.soc->cores()[victim].as_scan();
-  const auto& nl = core.synth().netlist;
+  const auto& nl = core.synth().netlist();
   netlist::NetId ffq = netlist::kNoNet;
   for (const auto& [net, name] : nl.net_names()) {
     if (name == "ff_q0") {

@@ -185,7 +185,7 @@ void drive_twins(std::uint64_t seed, std::uint64_t cycles) {
         if (kind != CoreKind::Scan && kind != CoreKind::External) continue;
         const bool force = rng.coin();
         const auto net = static_cast<netlist::NetId>(rng.below(
-            event_driven.soc->cores()[c].as_scan().synth().netlist
+            event_driven.soc->cores()[c].as_scan().synth().netlist()
                 .net_count()));
         const Logic4 value = to_logic(rng.coin());
         each([&](RandomSoc& rs) {

@@ -111,27 +111,27 @@ TEST_P(OptimizeEquivalence, RandomCoreUnchangedByOptimization) {
   spec.n_chains = 2;
   spec.seed = GetParam();
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const Netlist opt = optimize(core.netlist);
-  EXPECT_LE(opt.cell_count(), core.netlist.cell_count());
+  const Netlist opt = optimize(core.netlist());
+  EXPECT_LE(opt.cell_count(), core.netlist().cell_count());
   // The pipeline stops at its fixpoint inside the iteration cap: a second
   // run finds nothing left to remove.
   EXPECT_EQ(optimize(opt).cell_count(), opt.cell_count());
 
-  GateSim ref(core.netlist);
+  GateSim ref(core.netlist());
   GateSim dut(opt);
   ref.reset();
   dut.reset();
 
   Rng rng(spec.seed * 77 + 1);
   for (int cycle = 0; cycle < 64; ++cycle) {
-    for (const auto& port : core.netlist.inputs()) {
+    for (const auto& port : core.netlist().inputs()) {
       const bool v = rng.coin();
       ref.set_input(port.name, v);
       dut.set_input(port.name, v);
     }
     ref.eval();
     dut.eval();
-    for (const auto& port : core.netlist.outputs()) {
+    for (const auto& port : core.netlist().outputs()) {
       EXPECT_EQ(ref.output(port.name), dut.output(port.name))
           << "seed " << spec.seed << " cycle " << cycle << " port "
           << port.name;

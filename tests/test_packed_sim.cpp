@@ -160,7 +160,7 @@ TEST(PackedGateSim, MatchesScalarOnRandomCores) {
     spec.n_chains = 2;
     spec.seed = 1000 + seed;
     const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-    check_equivalence(core.netlist, seed, 3);
+    check_equivalence(core.netlist(), seed, 3);
   }
 }
 
@@ -182,7 +182,7 @@ TEST(PackedGateSim, LaneMaskedForcesMatchScalar) {
   spec.n_gates = 60;
   spec.seed = 4242;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
+  const auto lev = netlist::levelize(core.netlist());
 
   Rng rng(99);
   PackedGateSim packed(lev);
@@ -191,11 +191,11 @@ TEST(PackedGateSim, LaneMaskedForcesMatchScalar) {
   for (unsigned lane = 0; lane < PackedGateSim::kLanes; ++lane) {
     scalar.emplace_back(lev);
     lane_fault.emplace_back(
-        static_cast<netlist::NetId>(rng.below(core.netlist.net_count())),
+        static_cast<netlist::NetId>(rng.below(core.netlist().net_count())),
         rng.coin());
   }
 
-  for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i) {
+  for (std::size_t i = 0; i < core.netlist().inputs().size(); ++i) {
     const Logic4 v = to_logic(rng.coin());
     packed.set_input_index(i, word_broadcast(v));
     for (auto& s : scalar) s.set_input_index(i, v);
@@ -214,7 +214,7 @@ TEST(PackedGateSim, LaneMaskedForcesMatchScalar) {
 
   packed.eval();
   for (auto& s : scalar) s.eval();
-  for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n) {
+  for (netlist::NetId n = 0; n < core.netlist().net_count(); ++n) {
     const Logic64 w = packed.net_value(n);
     for (unsigned lane = 0; lane < PackedGateSim::kLanes; ++lane)
       ASSERT_EQ(word_lane(w, lane), scalar[lane].net_value(n))
@@ -226,7 +226,7 @@ TEST(PackedGateSim, LaneMaskedForcesMatchScalar) {
   scalar[0].clear_forces();
   packed.eval();
   scalar[0].eval();
-  for (netlist::NetId n = 0; n < core.netlist.net_count(); ++n)
+  for (netlist::NetId n = 0; n < core.netlist().net_count(); ++n)
     ASSERT_EQ(word_lane(packed.net_value(n), 0), scalar[0].net_value(n));
 }
 
@@ -394,7 +394,7 @@ TEST(GateSimChangeTracking, MatchesFullSweepOnRandomCores) {
                             spec.n_flipflops, 4));
     spec.seed = 500 + seed;
     const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-    check_change_tracking(core.netlist, seed, 400);
+    check_change_tracking(core.netlist(), seed, 400);
   }
 }
 
@@ -415,15 +415,15 @@ TEST(FaultSim, BatchDetectionMatchesSerialResimulation) {
   spec.n_gates = 70;
   spec.seed = 555;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist);
+  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist());
 
-  const auto lev = netlist::levelize(core.netlist);
+  const auto lev = netlist::levelize(core.netlist());
   netlist::FaultSim fsim(lev);
   GateSim good(lev), bad(lev);
 
   Rng rng(7);
   for (int trial = 0; trial < 4; ++trial) {
-    std::vector<Logic4> in_vals(core.netlist.inputs().size());
+    std::vector<Logic4> in_vals(core.netlist().inputs().size());
     std::vector<Logic4> ff_vals(fsim.dff_count());
     for (std::size_t i = 0; i < in_vals.size(); ++i) {
       in_vals[i] = to_logic(rng.coin());
@@ -450,10 +450,10 @@ TEST(FaultSim, BatchDetectionMatchesSerialResimulation) {
         const Logic4 g = good.net_value(net), b = bad.net_value(net);
         return is01(g) && is01(b) && g != b;
       };
-      for (const auto& p : core.netlist.outputs())
+      for (const auto& p : core.netlist().outputs())
         if (differs(p.net)) return true;
       for (const auto id : lev_dffs)
-        if (differs(core.netlist.cell(id).in[0])) return true;
+        if (differs(core.netlist().cell(id).in[0])) return true;
       return false;
     };
 
@@ -480,8 +480,8 @@ TEST(FaultSim, ScanOnlyObservationIgnoresPrimaryOutputs) {
   spec.n_gates = 50;
   spec.seed = 321;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
-  const auto lev = netlist::levelize(core.netlist);
-  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist);
+  const auto lev = netlist::levelize(core.netlist());
+  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist());
 
   netlist::FaultSim all_obs(lev);
   netlist::FaultSim scan_obs(lev);
@@ -490,7 +490,7 @@ TEST(FaultSim, ScanOnlyObservationIgnoresPrimaryOutputs) {
   Rng rng(13);
   std::uint64_t any_all = 0, any_scan = 0;
   for (int trial = 0; trial < 8; ++trial) {
-    for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i) {
+    for (std::size_t i = 0; i < core.netlist().inputs().size(); ++i) {
       const Logic4 v = to_logic(rng.coin());
       all_obs.set_input_index(i, v);
       scan_obs.set_input_index(i, v);
@@ -522,9 +522,9 @@ TEST(FaultSimulator, PackedRunMatchesSerialRun) {
   spec.seed = 808;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
 
-  tpg::FaultSimulator fsim(core.netlist);
+  tpg::FaultSimulator fsim(core.netlist());
   fsim.pin_input("scan_en", false);
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  const auto faults = tpg::enumerate_faults(core.netlist());
 
   Rng rng(17);
   const auto patterns = tpg::PatternSet::random(fsim.pattern_width(), 12, rng);
@@ -548,8 +548,8 @@ TEST(FaultSimulator, DetectsAgreesWithSerialCriterion) {
   spec.seed = 914;
   const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
 
-  tpg::FaultSimulator fsim(core.netlist);
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  tpg::FaultSimulator fsim(core.netlist());
+  const auto faults = tpg::enumerate_faults(core.netlist());
   Rng rng(23);
   const auto patterns = tpg::PatternSet::random(fsim.pattern_width(), 3, rng);
 

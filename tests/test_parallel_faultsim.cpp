@@ -32,8 +32,8 @@ tpg::SyntheticCore campaign_core(std::uint64_t seed) {
 
 TEST(FaultCampaign, DetectionMapsByteIdenticalAcrossThreadCounts) {
   const tpg::SyntheticCore core = campaign_core(12001);
-  const auto lev = netlist::levelize(core.netlist);
-  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist);
+  const auto lev = netlist::levelize(core.netlist());
+  const auto faults = netlist::enumerate_stuck_at_faults(core.netlist());
 
   // Random full-scan patterns as flat input/FF assignments.
   Rng rng(5);
@@ -41,7 +41,7 @@ TEST(FaultCampaign, DetectionMapsByteIdenticalAcrossThreadCounts) {
   std::vector<std::vector<Logic4>> inputs(n_patterns);
   std::vector<std::vector<Logic4>> states(n_patterns);
   for (std::size_t p = 0; p < n_patterns; ++p) {
-    for (std::size_t i = 0; i < core.netlist.inputs().size(); ++i)
+    for (std::size_t i = 0; i < core.netlist().inputs().size(); ++i)
       inputs[p].push_back(to_logic(rng.coin()));
     for (std::size_t i = 0; i < core.spec.n_flipflops; ++i)
       states[p].push_back(to_logic(rng.coin()));
@@ -74,9 +74,9 @@ TEST(FaultCampaign, DetectionMapsByteIdenticalAcrossThreadCounts) {
 TEST(FaultSimulator, ThreadedRunMatchesSingleThreadedRun) {
   const tpg::SyntheticCore core = campaign_core(12003);
 
-  tpg::FaultSimulator fsim(core.netlist);
+  tpg::FaultSimulator fsim(core.netlist());
   fsim.pin_input("scan_en", false);
-  const auto faults = tpg::enumerate_faults(core.netlist);
+  const auto faults = tpg::enumerate_faults(core.netlist());
   Rng rng(17);
   const auto patterns =
       tpg::PatternSet::random(fsim.pattern_width(), 12, rng);

@@ -205,7 +205,7 @@ TEST(SocTesterTest, ScanSessionDetectsInjectedStuckAt) {
   // Stuck-at-1 on flip-flop 0's output: scan responses must diverge from
   // the golden model.
   NetlistCore& core = soc->cores()[0].as_scan();
-  const netlist::NetId ffq = net_by_name(core.synth().netlist, "ff_q0");
+  const netlist::NetId ffq = net_by_name(core.synth().netlist(), "ff_q0");
   core.gatesim().set_force(ffq, Logic4::One);
 
   ScanSession session;
@@ -227,7 +227,7 @@ TEST(SocTesterTest, DiagnosisLocatesTheFaultyFlipFlop) {
   SocTester tester(*soc);
 
   NetlistCore& core = soc->cores()[0].as_scan();
-  const netlist::NetId ffq = net_by_name(core.synth().netlist, "ff_q3");
+  const netlist::NetId ffq = net_by_name(core.synth().netlist(), "ff_q3");
   core.gatesim().set_force(ffq, Logic4::One);
 
   ScanSession session;
@@ -261,7 +261,7 @@ TEST(SocTesterTest, BistCorePassesAndFailsThroughTheBus) {
   // Any stuck net inside the BISTed logic flips the signature. The spec is
   // deterministic, so regenerating it yields identical net numbering.
   const netlist::NetId ffq = net_by_name(
-      tpg::make_synthetic_core(small_core(62, 1)).netlist, "ff_q1");
+      tpg::make_synthetic_core(small_core(62, 1)).netlist(), "ff_q1");
   bist.inject_fault(ffq, true);
   const BistRunResult bad = tester.run_bist(1, 2, 48);
   EXPECT_TRUE(bad.completed);
@@ -413,4 +413,32 @@ TEST(SocTesterTest, ReconfigurationAcrossSessions) {
 }
 
 }  // namespace
+// The wrapper is registered before its core, so the core's gate-level
+// simulator sweeps at most once per cycle: the wrapper has already driven
+// this cycle's scan-in bits when the kernel evaluates the core (idle
+// configuration cycles sweep not at all). Registered the other way round,
+// the core swept a second time in every shift cycle, once the wrapper
+// settled after it.
+TEST(SocTesterTest, ScanSessionSweepsEachCoreOncePerCycle) {
+  const auto spec = small_core(11, 1);
+  SocBuilder b(2);
+  b.add_scan_core("dut", spec);
+  auto soc = b.build();
+  SocTester tester(*soc);
+  const std::uint64_t sweeps_before = tester.core_sweep_stats().run;
+  const std::uint64_t cycles_before = tester.cycles();
+
+  ScanSession session;
+  session.targets.push_back(
+      ScanTarget{CoreRef{0, std::nullopt}, {0}, ff_patterns(spec, 8, 9)});
+  const ScanSessionResult r = tester.run_scan_session(session);
+  ASSERT_TRUE(r.all_pass());
+
+  const std::uint64_t sweeps = tester.core_sweep_stats().run - sweeps_before;
+  const std::uint64_t cycles = tester.cycles() - cycles_before;
+  EXPECT_GT(cycles, 0u);
+  EXPECT_LE(sweeps, cycles) << sweeps << " sweeps in " << cycles
+                            << " cycles";
+}
+
 }  // namespace casbus::soc

@@ -125,9 +125,9 @@ TEST(SyntheticCoreTest, GeneratesRequestedGeometry) {
   spec.n_chains = 3;
   spec.seed = 99;
   const SyntheticCore core = make_synthetic_core(spec);
-  EXPECT_EQ(core.netlist.inputs().size(), 5u + 1u + 3u);  // pi + scan_en + si
-  EXPECT_EQ(core.netlist.outputs().size(), 4u + 3u);      // po + so
-  EXPECT_EQ(core.netlist.dff_count(), 12u);
+  EXPECT_EQ(core.netlist().inputs().size(), 5u + 1u + 3u);  // pi + scan_en + si
+  EXPECT_EQ(core.netlist().outputs().size(), 4u + 3u);      // po + so
+  EXPECT_EQ(core.netlist().dff_count(), 12u);
   EXPECT_EQ(core.chains.size(), 3u);
   EXPECT_EQ(core.max_chain_length(), 4u);
   std::size_t total = 0;
@@ -140,16 +140,16 @@ TEST(SyntheticCoreTest, DeterministicPerSeed) {
   spec.seed = 5;
   const SyntheticCore a = make_synthetic_core(spec);
   const SyntheticCore b = make_synthetic_core(spec);
-  EXPECT_EQ(a.netlist.cell_count(), b.netlist.cell_count());
+  EXPECT_EQ(a.netlist().cell_count(), b.netlist().cell_count());
   spec.seed = 6;
   const SyntheticCore c = make_synthetic_core(spec);
   // Different seed gives a structurally different cloud (counts can match,
   // but the cells' wiring shouldn't be identical).
-  bool differs = a.netlist.cell_count() != c.netlist.cell_count();
+  bool differs = a.netlist().cell_count() != c.netlist().cell_count();
   if (!differs) {
-    for (std::size_t i = 0; i < a.netlist.cell_count(); ++i) {
-      if (a.netlist.cells()[i].kind != c.netlist.cells()[i].kind ||
-          a.netlist.cells()[i].in != c.netlist.cells()[i].in) {
+    for (std::size_t i = 0; i < a.netlist().cell_count(); ++i) {
+      if (a.netlist().cells()[i].kind != c.netlist().cells()[i].kind ||
+          a.netlist().cells()[i].in != c.netlist().cells()[i].in) {
         differs = true;
         break;
       }
@@ -166,9 +166,9 @@ TEST(SyntheticCoreTest, ScanChainShiftsThrough) {
   spec.n_chains = 2;
   spec.seed = 4;
   const SyntheticCore core = make_synthetic_core(spec);
-  netlist::GateSim sim(core.netlist);
+  netlist::GateSim sim(core.netlist());
   sim.reset();
-  for (const auto& port : core.netlist.inputs())
+  for (const auto& port : core.netlist().inputs())
     sim.set_input(port.name, false);
   sim.set_input("scan_en", true);
 
@@ -260,7 +260,7 @@ TEST(FaultSimTest, PinnedInputsAreExcludedFromPatterns) {
   spec.n_chains = 1;
   spec.seed = 7;
   const SyntheticCore core = make_synthetic_core(spec);
-  FaultSimulator fsim(core.netlist);
+  FaultSimulator fsim(core.netlist());
   const std::size_t before = fsim.pattern_width();
   fsim.pin_input("scan_en", false);
   fsim.pin_input("si0", false);
@@ -274,7 +274,7 @@ TEST(FaultSimTest, GoodResponseMatchesDirectSimulation) {
   spec.n_flipflops = 6;
   spec.n_gates = 30;
   const SyntheticCore core = make_synthetic_core(spec);
-  FaultSimulator fsim(core.netlist);
+  FaultSimulator fsim(core.netlist());
   fsim.pin_input("scan_en", false);
   fsim.pin_input("si0", false);
 
@@ -304,13 +304,13 @@ TEST(FaultSimTest, BatchedGoodResponsesMatchScalarSimulation) {
     spec.n_gates = 3 * spec.n_flipflops + spec_rng.below(spec.n_flipflops);
     spec.n_chains = 1 + spec_rng.below(3);
     const SyntheticCore core = make_synthetic_core(spec);
-    FaultSimulator fsim(core.netlist);
+    FaultSimulator fsim(core.netlist());
     fsim.pin_input("scan_en", false);
     fsim.pin_input("si0", true);
     for (std::size_t c = 1; c < spec.n_chains; ++c)
       fsim.pin_input("si" + std::to_string(c), false);
 
-    netlist::GateSim ref(core.netlist);
+    netlist::GateSim ref(core.netlist());
     const netlist::Netlist& nl = ref.design();
     const auto reference = [&](const BitVector& pattern) {
       // Pattern image: free inputs in port order, then flip-flops.
@@ -370,7 +370,7 @@ TEST(AtpgTest, ReachesTargetCoverageOnSyntheticCore) {
   opts.target_coverage = 0.90;
   opts.max_candidates = 2000;
   opts.pinned_inputs = {{"scan_en", false}, {"si0", false}};
-  const AtpgResult res = generate_patterns(core.netlist, opts);
+  const AtpgResult res = generate_patterns(core.netlist(), opts);
   EXPECT_GE(res.coverage(), 0.90);
   EXPECT_GT(res.patterns.size(), 0u);
   EXPECT_LE(res.patterns.size(), opts.max_patterns);
@@ -384,13 +384,13 @@ TEST(AtpgTest, EveryKeptPatternEarnedItsPlace) {
   AtpgOptions opts;
   opts.max_candidates = 500;
   opts.pinned_inputs = {{"scan_en", false}, {"si0", false}};
-  const AtpgResult res = generate_patterns(core.netlist, opts);
+  const AtpgResult res = generate_patterns(core.netlist(), opts);
 
   // Replay: with fault dropping in the same order, each pattern detects at
   // least one new fault.
-  FaultSimulator fsim(core.netlist);
+  FaultSimulator fsim(core.netlist());
   for (const auto& [name, v] : opts.pinned_inputs) fsim.pin_input(name, v);
-  const auto faults = enumerate_faults(core.netlist);
+  const auto faults = enumerate_faults(core.netlist());
   const auto report = fsim.run(res.patterns, faults);
   for (std::size_t p = 0; p < res.patterns.size(); ++p)
     EXPECT_GT(report.per_pattern[p], 0u) << "pattern " << p;

@@ -16,6 +16,7 @@
 #include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
 #include "tpg/synthcore.hpp"
+#include "util/rng.hpp"
 #include "verify/netlist_lint.hpp"
 #include "verify/schedule_lint.hpp"
 
@@ -146,7 +147,7 @@ TEST(VerifyNetlist, CleanScanCoresLintClean) {
       spec.seed = seed;
       const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
       const LintReport report =
-          verify::lint_netlist(core.netlist, chain_config(core));
+          verify::lint_netlist(core.netlist(), chain_config(core));
       EXPECT_TRUE(report.clean()) << "seed " << seed << " chains " << chains
                                   << "\n" << report.to_string();
     }
@@ -193,7 +194,7 @@ TEST(VerifyNetlist, UnoptimizedCasDecodeDeadLogicIsWarningOnly) {
 
 TEST(VerifyNetlist, MutationSparePinIsExactlyNl000) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   raw.cells[find_cloud_gate(raw)].in[2] = 0;  // connect the spare pin
   const LintReport report = verify::lint_netlist(raw, chain_config(core));
   EXPECT_EQ(error_rules(report),
@@ -202,7 +203,7 @@ TEST(VerifyNetlist, MutationSparePinIsExactlyNl000) {
 
 TEST(VerifyNetlist, MutationExtraDriverIsExactlyNl001) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   // A second plain driver onto the first output port's net.
   raw.cells.push_back(Cell{CellKind::Buf,
                            {raw.inputs[0].net, netlist::kNoNet,
@@ -214,7 +215,7 @@ TEST(VerifyNetlist, MutationExtraDriverIsExactlyNl001) {
 
 TEST(VerifyNetlist, MutationDroppedDriverIsExactlyNl002) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   // Retarget one cloud-gate input to a fresh net nothing drives.
   const CellId gate = find_cloud_gate(raw);
   raw.cells[gate].in[0] = static_cast<NetId>(raw.n_nets);
@@ -226,7 +227,7 @@ TEST(VerifyNetlist, MutationDroppedDriverIsExactlyNl002) {
 
 TEST(VerifyNetlist, MutationSplicedCycleIsExactlyNl003) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   const CellId gate = find_cloud_gate(raw);
   raw.cells[gate].in[0] = raw.cells[gate].out;  // self-loop
   const LintReport report = verify::lint_netlist(raw, chain_config(core));
@@ -239,7 +240,7 @@ TEST(VerifyNetlist, MutationSplicedCycleIsExactlyNl003) {
 
 TEST(VerifyNetlist, MutationOrphanGateIsNl004WarningOnly) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   // A gate driving a net nothing reads: dead logic, not an error.
   raw.cells.push_back(Cell{CellKind::And2,
                            {raw.inputs[0].net, raw.inputs[1].net,
@@ -259,7 +260,7 @@ TEST(VerifyNetlist, MutationOrphanGateIsNl004WarningOnly) {
 
 TEST(VerifyNetlist, MutationDanglingOutputIsExactlyNl005) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   raw.outputs.push_back(
       netlist::Port{"floating", static_cast<NetId>(raw.n_nets)});
   ++raw.n_nets;
@@ -278,18 +279,18 @@ TEST(VerifyNetlist, FanoutCeilingIsNl006WarningOnly) {
   const tpg::SyntheticCore core = clean_core();
   verify::NetlistLintConfig config = chain_config(core);
   config.fanout_ceiling = 1;  // scan_en alone fans out to every mux
-  const LintReport report = verify::lint_netlist(core.netlist, config);
+  const LintReport report = verify::lint_netlist(core.netlist(), config);
   EXPECT_TRUE(report.admissible());
   EXPECT_TRUE(report.has(RuleId::NetFanout));
 
   config.fanout_ceiling = 0;  // rule disabled
   config.check_unreachable = true;
-  EXPECT_TRUE(verify::lint_netlist(core.netlist, config).clean());
+  EXPECT_TRUE(verify::lint_netlist(core.netlist(), config).clean());
 }
 
 TEST(VerifyNetlist, MutationBrokenScanChainIsExactlyNl007) {
   const tpg::SyntheticCore core = clean_core();
-  RawNetlist raw = core.netlist.to_raw();
+  RawNetlist raw = core.netlist().to_raw();
   // Retarget a scan mux's scan-path pin (in[1]) away from its chain
   // predecessor, onto an ordinary (driven) functional input net.
   raw.cells[find_scan_mux(raw)].in[1] = raw.inputs[0].net;
@@ -302,7 +303,7 @@ TEST(VerifyNetlist, WrongChainLengthIsExactlyNl007) {
   const tpg::SyntheticCore core = clean_core();
   verify::NetlistLintConfig config = chain_config(core);
   config.scan_chains[0].length += 1;  // CompiledProgram expects one more FF
-  const LintReport report = verify::lint_netlist(core.netlist, config);
+  const LintReport report = verify::lint_netlist(core.netlist(), config);
   EXPECT_EQ(error_rules(report),
             std::set<RuleId>{RuleId::ScanChainBroken});
 }
@@ -312,7 +313,7 @@ TEST(VerifyNetlist, UnlistedChainLeavesOrphanFlipFlopsNl007) {
   ASSERT_GE(core.chains.size(), 2u);
   verify::NetlistLintConfig config = chain_config(core);
   config.scan_chains.pop_back();  // chain 1's FFs become unreachable
-  const LintReport report = verify::lint_netlist(core.netlist, config);
+  const LintReport report = verify::lint_netlist(core.netlist(), config);
   EXPECT_EQ(error_rules(report),
             std::set<RuleId>{RuleId::ScanChainBroken});
 }
@@ -352,6 +353,115 @@ TEST(VerifyNetlist, LevelizeCycleErrorNamesTheLoop) {
   EXPECT_NE(walk.find("loop_x"), std::string::npos) << walk;
   const std::vector<CellId> cycle = verify::find_comb_cycle(nl.to_raw());
   EXPECT_EQ(cycle.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The levelized overload: the same report as the Netlist overload, with the
+// comb-cycle answer read from the levelization.
+// ---------------------------------------------------------------------------
+
+/// Exact report equality: rule, severity, object and message, in order.
+void expect_same_report(const LintReport& a, const LintReport& b) {
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size())
+      << a.to_string() << "\nvs\n" << b.to_string();
+  for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+    EXPECT_EQ(a.diagnostics[i].rule, b.diagnostics[i].rule);
+    EXPECT_EQ(a.diagnostics[i].severity, b.diagnostics[i].severity);
+    EXPECT_EQ(a.diagnostics[i].object, b.diagnostics[i].object);
+    EXPECT_EQ(a.diagnostics[i].message, b.diagnostics[i].message);
+  }
+}
+
+TEST(VerifyNetlist, LevelizedLintMatchesNetlistLintOnFloorCores) {
+  Rng rng(2024);
+  for (int n = 0; n < 500; ++n) {
+    tpg::SyntheticCoreSpec spec;  // floor-sized, as floor jobs draw them
+    spec.n_inputs = 4;
+    spec.n_outputs = 4;
+    spec.n_flipflops = 8 + rng.below(9);
+    spec.n_gates = 3 * spec.n_flipflops + rng.below(spec.n_flipflops);
+    spec.n_chains = 1 + rng.below(3);
+    spec.seed = rng.next();
+    const tpg::SyntheticCore core = tpg::make_synthetic_core(spec);
+    verify::NetlistLintConfig config = chain_config(core);
+    if (n % 2 == 1) config.fanout_ceiling = 2;  // also compare findings
+    expect_same_report(verify::lint_netlist(*core.design, config),
+                       verify::lint_netlist(core.netlist(), config));
+  }
+}
+
+TEST(VerifyNetlist, LevelizedLintMatchesNetlistLintOnNlFixtures) {
+  // Every mutation fixture that from_raw accepts and that levelizes (no
+  // cycle): the two overloads must agree finding for finding.
+  const tpg::SyntheticCore core = clean_core();
+  std::vector<std::pair<RawNetlist, verify::NetlistLintConfig>> fixtures;
+  {
+    RawNetlist raw = core.netlist().to_raw();  // NL002: undriven cell pin
+    raw.cells[find_cloud_gate(raw)].in[0] = static_cast<NetId>(raw.n_nets);
+    ++raw.n_nets;
+    fixtures.emplace_back(raw, chain_config(core));
+  }
+  {
+    RawNetlist raw = core.netlist().to_raw();  // NL004: orphan gate
+    raw.cells.push_back(Cell{CellKind::And2,
+                             {raw.inputs[0].net, raw.inputs[1].net,
+                              netlist::kNoNet},
+                             static_cast<NetId>(raw.n_nets)});
+    ++raw.n_nets;
+    fixtures.emplace_back(raw, chain_config(core));
+  }
+  {
+    verify::NetlistLintConfig config = chain_config(core);  // NL006
+    config.fanout_ceiling = 1;
+    fixtures.emplace_back(core.netlist().to_raw(), config);
+  }
+  {
+    RawNetlist raw = core.netlist().to_raw();  // NL007: broken scan path
+    raw.cells[find_scan_mux(raw)].in[1] = raw.inputs[0].net;
+    fixtures.emplace_back(raw, chain_config(core));
+  }
+  {
+    verify::NetlistLintConfig config = chain_config(core);  // NL007
+    config.scan_chains[0].length += 1;
+    fixtures.emplace_back(core.netlist().to_raw(), config);
+  }
+  {
+    verify::NetlistLintConfig config = chain_config(core);  // NL007
+    config.scan_chains.pop_back();
+    fixtures.emplace_back(core.netlist().to_raw(), config);
+  }
+  for (const auto& [raw, config] : fixtures) {
+    const netlist::Netlist nl = netlist::Netlist::from_raw(raw);
+    const auto lev = netlist::levelize(nl);
+    const LintReport report = verify::lint_netlist(*lev, config);
+    EXPECT_FALSE(report.clean());
+    expect_same_report(report, verify::lint_netlist(nl, config));
+    expect_same_report(report, verify::lint_netlist(raw, config));
+  }
+}
+
+TEST(VerifyNetlist, CombLoopInACoreFailsSetupWithTheCycleNamed) {
+  // A core netlist with a combinational loop never becomes a levelized
+  // design, so no core model, golden model or lint over it exists: the
+  // set-up throws, naming the nets on the loop (the floor turns that into
+  // the job's error), and the RawNetlist lint reports the same loop.
+  const tpg::SyntheticCore core = clean_core();
+  RawNetlist raw = core.netlist().to_raw();
+  const CellId gate = find_cloud_gate(raw);
+  raw.cells[gate].in[0] = raw.cells[gate].out;  // self-loop
+  raw.net_names.emplace_back(raw.cells[gate].out, "looped");
+  const netlist::Netlist nl = netlist::Netlist::from_raw(raw);
+  try {
+    (void)netlist::levelize(nl);
+    FAIL() << "a cyclic core was levelized";
+  } catch (const SimulationError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find("looped"), std::string::npos) << what;
+  }
+  const LintReport report = verify::lint_netlist(raw, chain_config(core));
+  EXPECT_EQ(error_rules(report), std::set<RuleId>{RuleId::CombCycle});
+  EXPECT_NE(report.to_string().find("looped"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
           netlist_config.scan_chains.push_back(verify::ScanChainSpec{
               "si" + std::to_string(c), "so" + std::to_string(c),
               core.chains[c].size()});
-        std::cout << "lint: synthetic core, " << core.netlist.cell_count()
+        std::cout << "lint: synthetic core, " << core.netlist().cell_count()
                   << " cells, " << core.chains.size() << " chains\n";
-        return finish(verify::lint_netlist(core.netlist, netlist_config),
+        return finish(verify::lint_netlist(*core.design, netlist_config),
                       verbose);
       }
 
