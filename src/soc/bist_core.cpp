@@ -28,34 +28,38 @@ BistCore::BistCore(sim::Simulation& sim_ctx, std::string name,
   term_.bist_done = &sim_ctx.wire(this->name() + ".bist_done", Logic4::Zero);
   term_.bist_pass = &sim_ctx.wire(this->name() + ".bist_pass", Logic4::Zero);
   term_.core_clk_en = &sim_ctx.wire(this->name() + ".clk_en", Logic4::One);
-  golden_ = run_reference();
 }
 
-std::uint32_t BistCore::run_reference() {
-  sim_.clear_forces();
-  sim_.reset();
-  tpg::Lfsr lfsr = tpg::Lfsr::standard(lfsr_width_, 1);
-  tpg::Misr misr(misr_width_);
-  for (std::uint32_t c = 0; c < cycles_; ++c) bist_cycle(lfsr, misr);
-  return misr.signature();
+std::uint32_t BistCore::golden_signature() const {
+  if (!golden_) {
+    // The reference run: a fresh simulator over the shared design, so
+    // neither sim_'s forces nor its state take part.
+    netlist::GateSim ref(core_.design);
+    tpg::Lfsr lfsr = tpg::Lfsr::standard(lfsr_width_, 1);
+    tpg::Misr misr(misr_width_);
+    for (std::uint32_t c = 0; c < cycles_; ++c) bist_cycle(ref, lfsr, misr);
+    golden_ = misr.signature();
+  }
+  return *golden_;
 }
 
-void BistCore::bist_cycle(tpg::Lfsr& lfsr, tpg::Misr& misr) {
+void BistCore::bist_cycle(netlist::GateSim& sim, tpg::Lfsr& lfsr,
+                          tpg::Misr& misr) const {
   const std::uint32_t word = lfsr.state();
   const tpg::SyntheticCoreSpec& spec = core_.spec;
   for (std::size_t i = 0; i < spec.n_inputs; ++i)
-    sim_.set_input_index(core_.pi_input(i),
-                         to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
-  sim_.set_input_index(core_.scan_en_input(), Logic4::Zero);
+    sim.set_input_index(core_.pi_input(i),
+                        to_logic(((word >> (i % lfsr_width_)) & 1u) != 0));
+  sim.set_input_index(core_.scan_en_input(), Logic4::Zero);
   for (std::size_t c = 0; c < spec.n_chains; ++c)
-    sim_.set_input_index(core_.si_input(c), Logic4::Zero);
-  sim_.eval();
+    sim.set_input_index(core_.si_input(c), Logic4::Zero);
+  sim.eval();
   std::uint32_t resp = 0;
   for (std::size_t o = 0; o < spec.n_outputs; ++o)
-    if (sim_.output_index(core_.po_output(o)) == Logic4::One)
+    if (sim.output_index(core_.po_output(o)) == Logic4::One)
       resp ^= 1u << (o % misr_width_);
   misr.feed_word(resp);
-  sim_.capture();  // the next cycle's eval() sweeps on the new LFSR word
+  sim.capture();  // the next cycle's eval() sweeps on the new LFSR word
   lfsr.step();
 }
 
@@ -75,6 +79,7 @@ void BistCore::tick() {
     done_ = false;
     pass_ = false;
     elapsed_ = 0;
+    session_clean_ = !forced_;
     sim_.reset();
     lfsr_.emplace(tpg::Lfsr::standard(lfsr_width_, 1));
     misr_.emplace(misr_width_);
@@ -82,11 +87,13 @@ void BistCore::tick() {
   start_seen_ = start;
   if (!running_) return;
 
-  bist_cycle(*lfsr_, *misr_);
+  bist_cycle(sim_, *lfsr_, *misr_);
   if (++elapsed_ >= cycles_) {
     running_ = false;
     done_ = true;
-    pass_ = misr_->signature() == golden_;
+    // A session with no fault forced is the reference run itself.
+    if (!golden_ && session_clean_) golden_ = misr_->signature();
+    pass_ = misr_->signature() == golden_signature();
   }
 }
 
@@ -101,8 +108,13 @@ void BistCore::reset() {
 
 void BistCore::inject_fault(netlist::NetId net, bool stuck_one) {
   sim_.set_force(net, to_logic(stuck_one));
+  forced_ = true;
+  session_clean_ = false;
 }
 
-void BistCore::clear_faults() { sim_.clear_forces(); }
+void BistCore::clear_faults() {
+  sim_.clear_forces();
+  forced_ = false;
+}
 
 }  // namespace casbus::soc

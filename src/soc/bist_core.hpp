@@ -16,9 +16,12 @@ namespace casbus::soc {
 /// internal MISR sink. One test-bus wire suffices: it carries the start
 /// level toward the core and the (done && pass) verdict back.
 ///
-/// The golden signature is computed at construction by running the engine
-/// on the fault-free netlist — exactly what a BIST insertion flow would
-/// tape into the comparator ROM.
+/// The golden signature is the engine's signature on the fault-free
+/// netlist — what a BIST insertion flow would tape into the comparator
+/// ROM. It is computed when first needed: a session run without injected
+/// faults is that reference run, so its signature is taken as the golden
+/// one; otherwise a separate fault-free GateSim over the same design runs
+/// the reference.
 class BistCore : public CoreModel {
  public:
   /// \p cycles is the BIST session length in clock cycles.
@@ -34,10 +37,9 @@ class BistCore : public CoreModel {
   void inject_fault(netlist::NetId net, bool stuck_one);
   void clear_faults();
 
-  /// Fault-free signature (diagnostic).
-  [[nodiscard]] std::uint32_t golden_signature() const noexcept {
-    return golden_;
-  }
+  /// Fault-free signature (diagnostic). Before a clean session has ended,
+  /// the first call runs the reference session (not thread-safe).
+  [[nodiscard]] std::uint32_t golden_signature() const;
 
   /// Session length in cycles — the test programmer's wait budget.
   [[nodiscard]] std::uint32_t cycles() const noexcept { return cycles_; }
@@ -54,20 +56,21 @@ class BistCore : public CoreModel {
   }
 
  private:
-  std::uint32_t run_reference();
-
-  /// One BIST cycle: applies the LFSR word, compacts the response into the
-  /// MISR, clocks the core and advances the LFSR.
-  void bist_cycle(tpg::Lfsr& lfsr, tpg::Misr& misr);
+  /// One BIST cycle on \p sim: applies the LFSR word, compacts the
+  /// response into the MISR, clocks the core and advances the LFSR.
+  void bist_cycle(netlist::GateSim& sim, tpg::Lfsr& lfsr,
+                  tpg::Misr& misr) const;
 
   tpg::SyntheticCore core_;
   netlist::GateSim sim_;
   std::uint32_t cycles_;
   unsigned lfsr_width_;
   unsigned misr_width_;
-  std::uint32_t golden_ = 0;
+  mutable std::optional<std::uint32_t> golden_;
 
   // Engine state.
+  bool forced_ = false;         ///< sim_ holds injected faults
+  bool session_clean_ = false;  ///< no fault was forced this session
   bool running_ = false;
   bool done_ = false;
   bool pass_ = false;

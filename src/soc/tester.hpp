@@ -219,7 +219,8 @@ class SocTester {
 
   /// Scalar GateSim sweeps run and skipped, summed over every gate-level
   /// core model of the SoC (hierarchical children included) since it was
-  /// built — BIST golden-signature runs at construction count too.
+  /// built. A BIST core's golden-signature reference run uses a simulator
+  /// of its own and is not counted.
   [[nodiscard]] netlist::GateSim::SweepStats core_sweep_stats() const;
 
   /// Behavioural-kernel work of the SoC's simulation since it was built

@@ -24,15 +24,15 @@ using netlist::RawNetlist;
 namespace {
 
 /// What the rules read of a design: views of a RawNetlist's or a validated
-/// Netlist's arrays, so linting a Netlist copies nothing — plus, for a
-/// levelized design, the levelization the comb-cycle rule reads.
+/// Netlist's arrays, so linting a Netlist copies nothing — plus whether
+/// the design is known to be acyclic (a levelized design is).
 struct Design {
   std::size_t n_nets = 0;
   std::span<const Cell> cells;
   std::span<const Port> inputs;
   std::span<const Port> outputs;
   std::span<const std::pair<NetId, std::string>> net_names;
-  const LevelizedNetlist* levelized = nullptr;
+  bool acyclic = false;
 
   explicit Design(const RawNetlist& raw)
       : n_nets(raw.n_nets),
@@ -47,7 +47,7 @@ struct Design {
         outputs(nl.outputs()),
         net_names(nl.net_names()) {}
   explicit Design(const LevelizedNetlist& lev) : Design(lev.netlist()) {
-    levelized = &lev;
+    acyclic = true;
   }
 };
 
@@ -248,7 +248,7 @@ void lint_cycles(const Design& raw, const Tables& t,
                  LintReport& report) {
   // A levelized design placed every combinational cell: its construction
   // throws on a cycle, so the rule's answer is already known.
-  if (raw.levelized != nullptr) return;
+  if (raw.acyclic) return;
   const std::vector<CellId> cycle = comb_cycle(raw, t);
   if (cycle.empty()) return;
   std::ostringstream os;

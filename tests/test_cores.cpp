@@ -154,6 +154,21 @@ TEST(BistCore, GoldenSignatureIsDeterministic) {
   EXPECT_NE(a.golden_signature(), c.golden_signature());
 }
 
+TEST(BistCore, CleanSessionSignatureIsTheReferenceSignature) {
+  // A session run without faults stands in for the reference run; its
+  // signature must be the one a separate fault-free reference run gives.
+  sim::Simulation s1, s2;
+  BistCore ran(s1, "ran", bist_logic(5), 100);
+  s1.add(&ran);
+  s1.reset();
+  ran.terminals().bist_start->set(true);
+  s1.step(102);
+  s1.settle();
+  ASSERT_EQ(ran.terminals().bist_pass->get(), Logic4::One);
+  const BistCore ref(s2, "ref", bist_logic(5), 100);  // no session run
+  EXPECT_EQ(ran.golden_signature(), ref.golden_signature());
+}
+
 TEST(BistCore, RunsToPassAndRestartsCleanly) {
   sim::Simulation sim;
   BistCore bist(sim, "dut", bist_logic(7), 64);
